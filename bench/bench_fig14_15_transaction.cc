@@ -43,14 +43,17 @@ void RunVariant(const char* variant, int32_t num_small) {
   Result<TransactionGraph> txn = BuildTransactionGraph(data->database);
   if (!txn.ok()) return;
 
-  MineConfig config;
-  config.min_support = 4;
-  config.k = 10;
-  config.dmax = 8;
-  config.vmin = 25;
-  config.rng_seed = 13;
-  config.time_budget_seconds = 180;
-  Result<MineResult> mined = MineTransactions(*txn, config);
+  SessionConfig session;
+  session.min_support = 4;  // transactions
+  session.txn_of_vertex = &txn->txn_of_vertex;
+  TopKQuery query;
+  query.k = 10;
+  query.dmax = 8;
+  query.vmin = 25;
+  query.rng_seed = 13;
+  query.support_measure = SupportMeasureKind::kTransaction;
+  query.time_budget_seconds = 180;
+  Result<QueryResult> mined = MineOnce(&txn->graph, session, query);
   if (mined.ok()) {
     std::map<int32_t, int32_t> hist;
     for (const MinedPattern& p : mined->patterns) ++hist[p.NumVertices()];

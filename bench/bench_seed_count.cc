@@ -5,8 +5,8 @@
 //
 // Paper claim: "with eps = 0.1, K = 10, and Vmin = |V|/10, we get M = 85".
 // Our exact solver gives 86 (the bound evaluates to 0.8942 at 85); the
-// one-off difference is rounding on the paper's side and is documented in
-// EXPERIMENTS.md.
+// one-off difference is rounding on the paper's side (see
+// src/spidermine/seed_count.h).
 //
 // Output: CSV rows k,epsilon,vmin_ratio,m,success_bound_at_m, then one
 // JSON row per swept M with the cold Stage I latency (paid once), the

@@ -3,8 +3,7 @@
 // Shared helpers for the figure/table reproduction harnesses. Each bench
 // binary prints a header describing the paper artifact it regenerates,
 // then CSV rows of the same series the paper plots. Absolute numbers
-// differ from the paper (hardware + Java vs C++); EXPERIMENTS.md records
-// the shape comparison.
+// differ from the paper (hardware + Java vs C++); compare the shapes.
 
 #include <cstdio>
 #include <map>
@@ -19,7 +18,6 @@
 #include "common/timer.h"
 #include "graph/labeled_graph.h"
 #include "spidermine/config.h"
-#include "spidermine/miner.h"
 #include "spidermine/session.h"
 
 namespace spidermine::bench {
@@ -47,17 +45,14 @@ inline void Banner(const char* artifact, const char* description) {
   std::printf("# === %s ===\n# %s\n", artifact, description);
 }
 
-/// Timed SpiderMine run; returns total seconds and fills \p out. Kept on
-/// the deprecated fused shim on purpose: the figure harnesses reproduce
-/// the paper's one-shot runs (warning silenced locally).
-inline double RunSpiderMine(const LabeledGraph& graph, MineConfig config,
-                            MineResult* out) {
+/// Timed one-shot SpiderMine run, as the paper's figures time it: Stage I
+/// plus one query (MineOnce), with the query's time budget spanning both
+/// (0 = unlimited). Returns total seconds and fills \p out on success.
+inline double RunSpiderMine(const LabeledGraph& graph,
+                            const SessionConfig& config,
+                            const TopKQuery& query, QueryResult* out) {
   WallTimer timer;
-  SpiderMiner miner(&graph, config);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<MineResult> result = miner.Mine();
-#pragma GCC diagnostic pop
+  Result<QueryResult> result = MineOnce(&graph, config, query);
   double seconds = timer.ElapsedSeconds();
   if (result.ok()) *out = std::move(result).value();
   return seconds;

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "graph/graph_builder.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
 using namespace spidermine;
 
@@ -66,20 +66,22 @@ int main() {
               static_cast<long long>(graph->NumEdges()),
               graph->HasEdgeLabels() ? "yes" : "no");
 
-  MineConfig config;
-  config.min_support = 3;
-  config.k = 5;
-  config.dmax = 4;
-  config.vmin = 4;
-  config.rng_seed = 7;
-  config.restarts = 4;
-  // This example deliberately shows the legacy one-shot shim (graph mined
-  // once, thrown away); the session API (spidermine/session.h, see the
-  // other examples) is the primary path when a graph serves many queries.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<MineResult> result = SpiderMiner(&*graph, config).Mine();
-#pragma GCC diagnostic pop
+  SessionConfig session_config;
+  session_config.min_support = 3;
+  Result<MiningSession> session =
+      MiningSession::Create(&*graph, session_config);
+  if (!session.ok()) {
+    std::fprintf(stderr, "stage I failed: %s\n",
+                 session.status().ToString().c_str());
+    return 1;
+  }
+  TopKQuery query;
+  query.k = 5;
+  query.dmax = 4;
+  query.vmin = 4;
+  query.rng_seed = 7;
+  query.restarts = 4;
+  Result<QueryResult> result = session->RunQuery(query);
   if (!result.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  result.status().ToString().c_str());

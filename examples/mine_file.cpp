@@ -7,8 +7,8 @@
 // "e <u> <v>"). With no --input, a demo graph is generated so the binary
 // is runnable standalone. Patterns are written in pattern_io.h format.
 // --runs N issues N queries (seeds seed, seed+1, ...) against the ONE
-// cached Stage I spider set and exports the accumulated best patterns —
-// the session amortization the fused SpiderMiner::Mine() shim cannot give.
+// cached Stage I spider set and exports the accumulated best patterns, so
+// Stage I is paid once however many queries run.
 
 #include <cstdio>
 #include <cstdlib>

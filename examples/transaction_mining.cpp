@@ -12,6 +12,7 @@
 
 #include "baselines/origami.h"
 #include "gen/transaction_gen.h"
+#include "spidermine/session.h"
 #include "spidermine/txn_adapter.h"
 
 int main() {
@@ -51,15 +52,19 @@ int main() {
               static_cast<long long>(txn->graph.NumEdges()), gen.num_large,
               gen.num_small);
 
-  // SpiderMine, transaction support.
-  MineConfig config;
-  config.min_support = 4;  // transactions
-  config.k = 10;
-  config.dmax = 8;
-  config.vmin = 25;
-  config.rng_seed = 3;
-  config.time_budget_seconds = 120;
-  Result<MineResult> mined = MineTransactions(*txn, config);
+  // SpiderMine, transaction support: the session counts support as the
+  // number of distinct transactions an embedding set hits.
+  SessionConfig session_config;
+  session_config.min_support = 4;  // transactions
+  session_config.txn_of_vertex = &txn->txn_of_vertex;
+  TopKQuery query;
+  query.k = 10;
+  query.dmax = 8;
+  query.vmin = 25;
+  query.rng_seed = 3;
+  query.support_measure = SupportMeasureKind::kTransaction;
+  query.time_budget_seconds = 120;  // spans Stage I and the query
+  Result<QueryResult> mined = MineOnce(&txn->graph, session_config, query);
   if (!mined.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  mined.status().ToString().c_str());

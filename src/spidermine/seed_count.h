@@ -13,7 +13,7 @@
 /// seed spiders to draw. The paper's worked example (epsilon = 0.1, K = 10,
 /// Vmin = |V|/10) quotes M = 85; the exact smallest integer satisfying the
 /// bound is 86 (the bound evaluates to 0.8942 at M = 85), which the unit
-/// tests pin down and EXPERIMENTS.md discusses.
+/// tests pin down.
 
 namespace spidermine {
 

@@ -151,6 +151,28 @@ std::vector<int32_t> DrawTxnSample(const QueryConfig& q, int32_t run,
   return sample;
 }
 
+/// Validates \p query against a session mined under \p session and
+/// returns it with min_support resolved (0 = the mined floor). Touches no
+/// state, so a rejected query leaves everything usable.
+Result<QueryConfig> ResolveQuery(const QueryConfig& query,
+                                 const SessionConfig& session) {
+  SM_RETURN_NOT_OK(query.Validate());
+  QueryConfig q = query;
+  if (q.min_support == 0) q.min_support = session.min_support;
+  if (q.min_support < session.min_support) {
+    return Status::InvalidArgument(
+        StrCat("query min_support ", q.min_support,
+               " is below the session's mined floor ", session.min_support,
+               "; spiders below the floor were never mined"));
+  }
+  if (q.support_measure == SupportMeasureKind::kTransaction &&
+      session.txn_of_vertex == nullptr && session.txn_map == nullptr) {
+    return Status::InvalidArgument(
+        "transaction support requires txn_of_vertex or txn_map");
+  }
+  return q;
+}
+
 }  // namespace
 
 const char* Stage1LoadModeName(Stage1LoadMode mode) {
@@ -503,20 +525,7 @@ int64_t MiningSession::FoldQueryIntoAggregate(const QueryResult& result) const {
 }
 
 Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
-  SM_RETURN_NOT_OK(query.Validate());
-  QueryConfig q = query;
-  if (q.min_support == 0) q.min_support = config_.min_support;
-  if (q.min_support < config_.min_support) {
-    return Status::InvalidArgument(
-        StrCat("query min_support ", q.min_support,
-               " is below the session's mined floor ", config_.min_support,
-               "; spiders below the floor were never mined"));
-  }
-  if (q.support_measure == SupportMeasureKind::kTransaction &&
-      config_.txn_of_vertex == nullptr && config_.txn_map == nullptr) {
-    return Status::InvalidArgument(
-        "transaction support requires txn_of_vertex or txn_map");
-  }
+  SM_ASSIGN_OR_RETURN(const QueryConfig q, ResolveQuery(query, config_));
   // First touch of a mapped artifact's bulk sections: CRC + content range
   // checks run exactly once (thread-safe), so a tampered or bit-rotted
   // `.sm2` fails the query instead of feeding the growth engine garbage.
@@ -808,9 +817,9 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
   // An elevated query threshold (> the session floor) is enforced on the
   // final list as well: seeds drawn from the cached floor-level store (and
   // closure's full-embedding recounts) can carry support in [floor, sigma)
-  // that growth — which only checks extensions — never re-tests. Gated so
-  // floor-level queries stay byte-identical to the legacy fused driver,
-  // which deliberately returns closure-demoted patterns.
+  // that growth — which only checks extensions — never re-tests.
+  // Floor-level queries, the CLI `mine` among them (it passes --support as
+  // both floor and threshold), skip this re-filter.
   if (q.min_support > config_.min_support) {
     std::erase_if(all, [&q](const MinedPattern& mp) {
       return mp.support < q.min_support;
@@ -840,6 +849,40 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
              ", emb carried/fallback=", stats.emb_carried, "/",
              stats.vf2_fallbacks, ", returned ", result.patterns.size(),
              " patterns in ", stats.total_seconds, "s"));
+  return result;
+}
+
+Result<QueryResult> MineOnce(const LabeledGraph* graph, SessionConfig config,
+                             TopKQuery query) {
+  // Validate both halves before mining anything: an invalid query must fail
+  // fast, not after a full Stage I pass.
+  SM_RETURN_NOT_OK(config.Validate());
+  SM_RETURN_NOT_OK(ResolveQuery(query, config).status());
+
+  WallTimer total_timer;
+  const double time_budget_seconds = query.time_budget_seconds;
+  if (time_budget_seconds > 0) {
+    config.stage1_time_budget_seconds = time_budget_seconds;
+  }
+  SM_ASSIGN_OR_RETURN(MiningSession session,
+                      MiningSession::Create(graph, config));
+  const MineStats& stage1 = session.stage1_stats();
+  if (time_budget_seconds > 0) {
+    query.time_budget_seconds =
+        std::max(time_budget_seconds - stage1.stage1_seconds, 1e-9);
+  }
+  SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
+
+  MineStats& stats = result.stats;
+  stats.num_spiders = stage1.num_spiders;
+  stats.num_closed_spiders = stage1.num_closed_spiders;
+  stats.stage1_store_bytes = stage1.stage1_store_bytes;
+  stats.stage1_scan_shards = stage1.stage1_scan_shards;
+  stats.stage1_enum_shards = stage1.stage1_enum_shards;
+  stats.stage1_steps = stage1.stage1_steps;
+  stats.stage1_seconds = stage1.stage1_seconds;
+  stats.timed_out = stats.timed_out || stage1.timed_out;
+  stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }
 

@@ -33,8 +33,7 @@
 /// session's mined floor), rng_seed, restarts, dmax and caps. Queries are
 /// validated via Result<> up front, so a bad query returns an error and
 /// never invalidates the session, and each query result is byte-identical
-/// to a standalone `SpiderMiner::Mine()` with the same parameters at any
-/// thread count.
+/// to the same query on a fresh session at any thread count.
 ///
 /// Thread-safety contract (see docs/SERVING.md for the full statement):
 /// after construction every Stage I artifact -- the store, the index, the
@@ -110,9 +109,10 @@ struct QueryResult {
   /// Top-K patterns, sorted by size (edge count) descending, ties broken by
   /// vertex count then support.
   std::vector<MinedPattern> patterns;
-  /// Query-side counters only: the stage1_* fields and num_spiders stay 0,
-  /// which is how callers (and tests) assert that serving a query re-mines
-  /// nothing — Stage I work lives in MiningSession::stage1_stats().
+  /// RunQuery fills the query-side counters only: the stage1_* fields and
+  /// num_spiders stay 0, which is how callers (and tests) assert that
+  /// serving a query re-mines nothing — Stage I work lives in
+  /// MiningSession::stage1_stats(). MineOnce folds those in as well.
   MineStats stats;
 };
 
@@ -289,5 +289,19 @@ class MiningSession {
   double stage1_load_seconds_ = 0.0;
   std::unique_ptr<ServingAggregate> serving_;
 };
+
+/// Paper Algorithm 1 end to end, for one-shot callers (the CLI `mine`, the
+/// figure benches): creates a session over \p graph, runs \p query once
+/// and discards the session. The result's stats also carry the session's
+/// Stage I counters, and total_seconds spans both halves. A positive
+/// query.time_budget_seconds spans both halves too, since the query is the
+/// whole run: Stage I gets all of it, the query whatever Stage I left
+/// (floored at 1e-9, so an exhausted budget expires the query at once
+/// instead of meaning "unlimited"); it replaces
+/// config.stage1_time_budget_seconds. Both configs are validated before
+/// Stage I runs. Callers that query one graph more than once should hold a
+/// MiningSession and pay Stage I once instead.
+Result<QueryResult> MineOnce(const LabeledGraph* graph, SessionConfig config,
+                             TopKQuery query);
 
 }  // namespace spidermine

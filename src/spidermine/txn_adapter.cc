@@ -34,37 +34,6 @@ Result<TransactionGraph> BuildTransactionGraph(
   return out;
 }
 
-Result<MineResult> MineTransactions(const TransactionGraph& txn,
-                                    MineConfig config) {
-  // The adapter mines under transaction support by definition. A caller who
-  // explicitly configured a DIFFERENT measure (or a foreign transaction
-  // map) is contradicting that; reject instead of silently clobbering.
-  if (config.support_measure != SupportMeasureKind::kTransaction &&
-      config.support_measure != SupportMeasureKind::kGreedyMisVertex) {
-    return Status::InvalidArgument(
-        StrCat("MineTransactions mines under the transaction measure; the "
-               "config asks for ",
-               SupportMeasureName(config.support_measure),
-               " (leave support_measure at its default or set it to "
-               "transaction)"));
-  }
-  if (config.txn_of_vertex != nullptr &&
-      config.txn_of_vertex != &txn.txn_of_vertex) {
-    return Status::InvalidArgument(
-        "MineTransactions derives txn_of_vertex from the transaction graph; "
-        "the config carries a different transaction map");
-  }
-  config.support_measure = SupportMeasureKind::kTransaction;
-  config.txn_of_vertex = &txn.txn_of_vertex;
-  SpiderMiner miner(&txn.graph, config);
-  // The adapter mirrors the shim's one-shot shape; the session migration
-  // for transaction mining rides on its callers, not here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return miner.Mine();
-#pragma GCC diagnostic pop
-}
-
 Result<VertexTxnMap> LoadVertexTxnMap(const std::string& path,
                                       int64_t num_vertices) {
   std::ifstream in(path);
@@ -82,12 +51,15 @@ Result<VertexTxnMap> LoadVertexTxnMap(const std::string& path,
     int64_t v = -1;
     int64_t t = -1;
     fields >> v >> t;
-    if (fields.fail() || v < 0 || v >= num_vertices || t < 0 ||
+    // Nothing may follow the two ids: a fractional id ("1.5") or a third
+    // token would otherwise load as a silently truncated incidence.
+    const bool exactly_two = !fields.fail() && (fields >> std::ws).eof();
+    if (!exactly_two || v < 0 || v >= num_vertices || t < 0 ||
         t > INT32_MAX) {
       return Status::IoError(
-          StrCat("line ", line_no, ": expected '<vertex> <txn_id>' with "
-                 "vertex in [0, ", num_vertices, ") and txn_id >= 0, got '",
-                 stripped, "'"));
+          StrCat("line ", line_no, ": expected exactly '<vertex> <txn_id>' "
+                 "with vertex in [0, ", num_vertices, ") and txn_id >= 0, "
+                 "got '", stripped, "'"));
     }
     incidences.emplace_back(static_cast<VertexId>(v),
                             static_cast<int32_t>(t));

@@ -5,8 +5,6 @@
 
 #include "common/result.h"
 #include "graph/labeled_graph.h"
-#include "spidermine/config.h"
-#include "spidermine/miner.h"
 #include "support/support_measure.h"
 
 /// \file txn_adapter.h
@@ -14,7 +12,10 @@
 /// adapted to graph-transaction setting with no difficulty"). The database
 /// is embedded as the disjoint union of its graphs; connected patterns can
 /// never straddle two transactions, and support is counted as the number of
-/// distinct transactions hit (SupportMeasureKind::kTransaction).
+/// distinct transactions hit (SupportMeasureKind::kTransaction): mine the
+/// union graph with SessionConfig::txn_of_vertex pointing at
+/// TransactionGraph::txn_of_vertex and run kTransaction queries, where
+/// min_support counts transactions.
 ///
 /// Beyond the disjoint-union embedding, per-vertex transaction PAYLOADS
 /// (Lei et al., "Mining Top-k Sequential Patterns in Database Graphs")
@@ -37,19 +38,11 @@ struct TransactionGraph {
 Result<TransactionGraph> BuildTransactionGraph(
     const std::vector<LabeledGraph>& database);
 
-/// Runs SpiderMine over a transaction database: \p config is adjusted to
-/// transaction support automatically (min_support counts transactions).
-/// Conflicting configs are rejected instead of silently overwritten: the
-/// caller's support_measure must be kTransaction or the struct default
-/// (kGreedyMisVertex, which the adapter upgrades), and a caller-set
-/// txn_of_vertex must be \p txn's own vector.
-Result<MineResult> MineTransactions(const TransactionGraph& txn,
-                                    MineConfig config);
-
 /// Loads per-vertex transaction payloads from a `--txn-map` file: plain
 /// text, one `<vertex> <txn_id>` incidence per line, `#` starts a comment,
-/// blank lines ignored. Vertices must lie in [0, \p num_vertices) and ids
-/// must be >= 0; duplicate incidences collapse. num_transactions becomes
+/// blank lines ignored. Every other line must hold exactly two integers;
+/// vertices must lie in [0, \p num_vertices) and ids must be >= 0;
+/// duplicate incidences collapse. num_transactions becomes
 /// max id + 1 (0 for an empty file).
 Result<VertexTxnMap> LoadVertexTxnMap(const std::string& path,
                                       int64_t num_vertices);

@@ -12,12 +12,8 @@
 #include "pattern/vf2.h"
 #include "pattern/spider_set.h"
 #include "spidermine/closure.h"
-#include "spidermine/miner.h"
+#include "spidermine/session.h"
 
-// This suite exercises the deprecated SpiderMiner::Mine() shim on purpose
-// (its compatibility contract is the thing under test); silence the
-// session-API migration warning for the whole file.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "spidermine/oracle.h"
 #include "spidermine/variants.h"
 
@@ -147,13 +143,14 @@ class ResultPostProcessing : public ::testing::TestWithParam<uint64_t> {
     PatternInjector injector(&builder);
     EXPECT_TRUE(injector.Inject(planted, 3, &rng).ok());
     graph_ = std::move(builder.Build()).value();
-    MineConfig config;
-    config.min_support = 2;
-    config.k = 12;
-    config.dmax = 4;
-    config.vmin = 8;
-    config.rng_seed = seed;
-    Result<MineResult> result = SpiderMiner(&graph_, config).Mine();
+    SessionConfig session;
+    session.min_support = 2;
+    TopKQuery query;
+    query.k = 12;
+    query.dmax = 4;
+    query.vmin = 8;
+    query.rng_seed = seed;
+    Result<QueryResult> result = MineOnce(&graph_, session, query);
     EXPECT_TRUE(result.ok());
     return result.ok() ? std::move(result->patterns)
                        : std::vector<MinedPattern>{};

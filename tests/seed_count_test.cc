@@ -8,8 +8,7 @@ namespace {
 TEST(SeedCountTest, PaperWorkedExample) {
   // Paper Sec. 4.1: epsilon = 0.1, K = 10, Vmin = |V|/10 "we get M = 85".
   // Evaluating the bound exactly: at M = 85 it yields 0.894 < 0.9; the
-  // smallest satisfying M is 86 (the paper rounded). EXPERIMENTS.md
-  // discusses the one-off discrepancy.
+  // smallest satisfying M is 86 (the paper rounded).
   Result<int64_t> m = ComputeSeedCount(/*num_vertices=*/10000,
                                        /*vmin=*/1000, /*k=*/10,
                                        /*epsilon=*/0.1);

@@ -4,7 +4,6 @@
 
 #include <fstream>
 
-#include "graph/graph_builder.h"
 #include "spidermine/txn_adapter.h"
 
 namespace spidermine {
@@ -191,64 +190,6 @@ TEST(SupportTest, TransactionSampleFiltersBothSources) {
             1);
 }
 
-/// A 4-vertex path graph with one label, split into two 2-vertex
-/// transactions, as the smallest MineTransactions input.
-Result<TransactionGraph> TinyTransactionGraph() {
-  GraphBuilder builder;
-  std::vector<LabeledGraph> database;
-  for (int t = 0; t < 2; ++t) {
-    GraphBuilder b;
-    b.AddVertex(0);
-    b.AddVertex(0);
-    b.AddEdge(0, 1);
-    SM_ASSIGN_OR_RETURN(LabeledGraph g, b.Build());
-    database.push_back(std::move(g));
-  }
-  return BuildTransactionGraph(database);
-}
-
-TEST(TxnAdapterTest, MineTransactionsRejectsConflictingMeasure) {
-  Result<TransactionGraph> txn = TinyTransactionGraph();
-  ASSERT_TRUE(txn.ok());
-  MineConfig config;
-  config.min_support = 1;
-  config.vmin = 1;
-  config.support_measure = SupportMeasureKind::kMinImage;
-  Result<MineResult> result = MineTransactions(*txn, config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("transaction measure"),
-            std::string::npos)
-      << result.status().ToString();
-}
-
-TEST(TxnAdapterTest, MineTransactionsRejectsForeignTxnMap) {
-  Result<TransactionGraph> txn = TinyTransactionGraph();
-  ASSERT_TRUE(txn.ok());
-  std::vector<int32_t> foreign(static_cast<size_t>(txn->graph.NumVertices()),
-                               0);
-  MineConfig config;
-  config.min_support = 1;
-  config.vmin = 1;
-  config.txn_of_vertex = &foreign;
-  Result<MineResult> result = MineTransactions(*txn, config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("different transaction map"),
-            std::string::npos)
-      << result.status().ToString();
-}
-
-TEST(TxnAdapterTest, MineTransactionsAcceptsDefaultAndExplicitMeasure) {
-  Result<TransactionGraph> txn = TinyTransactionGraph();
-  ASSERT_TRUE(txn.ok());
-  MineConfig config;
-  config.min_support = 1;
-  config.vmin = 1;
-  ASSERT_TRUE(MineTransactions(*txn, config).ok());  // struct default
-  config.support_measure = SupportMeasureKind::kTransaction;
-  config.txn_of_vertex = &txn->txn_of_vertex;  // the graph's own map is fine
-  ASSERT_TRUE(MineTransactions(*txn, config).ok());
-}
-
 TEST(TxnAdapterTest, LoadVertexTxnMapParsesAndValidates) {
   const std::string path = ::testing::TempDir() + "/txn_map_test.txt";
   {
@@ -277,6 +218,19 @@ TEST(TxnAdapterTest, LoadVertexTxnMapParsesAndValidates) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 1"), std::string::npos);
   EXPECT_FALSE(LoadVertexTxnMap("/nonexistent/txn.map", 4).ok());
+  // A line must hold exactly two integers: a trailing token or a
+  // fractional id fails with an IoError naming the line.
+  for (const char* malformed : {"0 1 7", "1 1.5", "2 0 junk"}) {
+    {
+      std::ofstream out(path);
+      out << "0 0\n" << malformed << "\n";
+    }
+    Result<VertexTxnMap> rejected = LoadVertexTxnMap(path, 4);
+    ASSERT_FALSE(rejected.ok()) << malformed;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kIoError) << malformed;
+    EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)
+        << rejected.status().ToString();
+  }
 }
 
 TEST(DedupEmbeddingsTest, RemovesSameImageDifferentOrder) {

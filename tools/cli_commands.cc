@@ -24,7 +24,6 @@
 #include "graph/graph_io.h"
 #include "graph/graph_metrics.h"
 #include "graph/graph_partition.h"
-#include "spidermine/miner.h"
 #include "spidermine/session.h"
 #include "spidermine/stage1_partition.h"
 #include "spidermine/txn_adapter.h"
@@ -100,6 +99,86 @@ constexpr char kTxnMapHelp[] =
 constexpr char kTxnSampleHelp[] =
     "count only a per-run uniform sample of this many transactions "
     "(0 = all; requires --measure=transaction)";
+
+/// Adds the Stage II+III and output flags `mine` and `query` share; each
+/// command adds its own --support and --threads.
+void AddQueryFlags(FlagSet* flags) {
+  flags->AddInt("k", 10, "number of top patterns K")
+      .AddInt("dmax", 4, "pattern diameter bound Dmax")
+      .AddDouble("epsilon", 0.1, "error bound epsilon")
+      .AddInt("vmin", 0, "minimum large-pattern vertices (0 = |V|/10)")
+      .AddInt("seed", 42, "rng seed")
+      .AddInt("restarts", 1, "independent stage II+III runs")
+      .AddString("measure", "vertex-mis", kMeasureHelp)
+      .AddString("txn-map", "", kTxnMapHelp)
+      .AddInt("txn-sample", 0, kTxnSampleHelp)
+      .AddDouble("time-budget", 0.0, "wall-clock budget seconds (0 = off)")
+      .AddInt("emb-budget", 4096,
+              "per-lineage carried embedding-list budget (0 = VF2-only "
+              "closure); results are identical at any value")
+      .AddBool("strict-dmax", false,
+               "drop results whose diameter exceeds dmax (Definition 2)")
+      .AddBool("maximal", false, "keep only maximal patterns")
+      .AddBool("variants", false, "print Fig.23-style variant groups")
+      .AddBool("stats", false, "print mining statistics")
+      .AddString("out", "",
+                 "write top patterns to <out>.<rank>.smp (binary pattern "
+                 "files; empty = do not save)");
+}
+
+/// The top-K query the AddQueryFlags flags (plus --support) describe.
+Result<TopKQuery> QueryFromFlags(const FlagSet& flags) {
+  TopKQuery query;
+  query.min_support = flags.GetInt("support");
+  query.k = static_cast<int32_t>(flags.GetInt("k"));
+  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
+  query.epsilon = flags.GetDouble("epsilon");
+  query.vmin = flags.GetInt("vmin");
+  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
+  query.time_budget_seconds = flags.GetDouble("time-budget");
+  query.embedding_list_budget = flags.GetInt("emb-budget");
+  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
+  SM_ASSIGN_OR_RETURN(query.support_measure,
+                      ParseMeasure(flags.GetString("measure")));
+  query.txn_sample = flags.GetInt("txn-sample");
+  return query;
+}
+
+/// Prints a `mine` / `query` result: the header line (\p header_note is
+/// appended inside its parentheses), the ranked pattern rows, then the
+/// optional --variants, --stats (after \p stats_preamble) and --out
+/// sections.
+Status PrintTopK(const FlagSet& flags, QueryResult result,
+                 const std::string& header_note,
+                 const std::string& stats_preamble, std::ostream& out) {
+  std::vector<MinedPattern> patterns = std::move(result.patterns);
+  if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
+
+  out << "top " << patterns.size() << " patterns ("
+      << SupportMeasureName(result.stats.support_measure) << " support"
+      << header_note << "):\n";
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
+  }
+  if (flags.GetBool("variants")) {
+    std::vector<VariantGroup> groups = GroupVariants(patterns);
+    out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
+  }
+  if (flags.GetBool("stats")) {
+    out << stats_preamble << result.stats.ToString();
+  }
+  if (!flags.GetString("out").empty()) {
+    const std::string& prefix = flags.GetString("out");
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      const std::string path = StrCat(prefix, ".", i + 1, ".smp");
+      SM_RETURN_NOT_OK(SavePatternBinary(patterns[i].pattern, path));
+    }
+    out << "wrote " << patterns.size() << " pattern files to " << prefix
+        << ".*.smp\n";
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -218,35 +297,17 @@ Status CmdStats(const std::vector<std::string>& args, std::ostream& out) {
 }
 
 Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
-  FlagSet flags("spidermine mine", "run SpiderMine over a graph file");
+  FlagSet flags("spidermine mine",
+                "run SpiderMine over a graph file: an in-memory `stage1` "
+                "followed by one `query`");
   flags.AddInt("support", 2, "support threshold sigma")
-      .AddInt("k", 10, "number of top patterns K")
-      .AddInt("dmax", 4, "pattern diameter bound Dmax")
-      .AddDouble("epsilon", 0.1, "error bound epsilon")
-      .AddInt("vmin", 0, "minimum large-pattern vertices (0 = |V|/10)")
-      .AddInt("seed", 42, "rng seed")
-      .AddInt("restarts", 1, "independent stage II+III runs")
       .AddInt("threads", 1,
               "worker threads for all stages (0 = all cores); results are "
               "identical at any value")
       .AddInt("shard-grain", 0,
               "Stage I vertex-range shard grain (0 = auto); results are "
-              "identical at any value")
-      .AddString("measure", "vertex-mis", kMeasureHelp)
-      .AddString("txn-map", "", kTxnMapHelp)
-      .AddInt("txn-sample", 0, kTxnSampleHelp)
-      .AddDouble("time-budget", 0.0, "wall-clock budget seconds (0 = off)")
-      .AddInt("emb-budget", 4096,
-              "per-lineage carried embedding-list budget (0 = VF2-only "
-              "closure); results are identical at any value")
-      .AddBool("strict-dmax", false,
-               "drop results whose diameter exceeds dmax (Definition 2)")
-      .AddBool("maximal", false, "keep only maximal patterns")
-      .AddBool("variants", false, "print Fig.23-style variant groups")
-      .AddBool("stats", false, "print mining statistics")
-      .AddString("out", "",
-                 "write top patterns to <out>.<rank>.smp (binary pattern "
-                 "files; empty = do not save)");
+              "identical at any value");
+  AddQueryFlags(&flags);
   SM_RETURN_NOT_OK(flags.Parse(args));
   if (flags.positional().size() != 1) {
     return Status::InvalidArgument(
@@ -255,62 +316,21 @@ Status CmdMine(const std::vector<std::string>& args, std::ostream& out) {
   SM_ASSIGN_OR_RETURN(LabeledGraph graph,
                       LoadGraphAuto(flags.positional()[0]));
 
-  MineConfig config;
+  SessionConfig config;
   config.min_support = flags.GetInt("support");
-  config.k = static_cast<int32_t>(flags.GetInt("k"));
-  config.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
-  config.epsilon = flags.GetDouble("epsilon");
-  config.vmin = flags.GetInt("vmin");
-  config.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  config.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
   SM_ASSIGN_OR_RETURN(config.num_threads,
                       ValidateThreadsFlag(flags.GetInt("threads")));
   SM_ASSIGN_OR_RETURN(config.stage1_shard_grain,
                       ValidateShardGrainFlag(flags.GetInt("shard-grain")));
-  config.time_budget_seconds = flags.GetDouble("time-budget");
-  config.embedding_list_budget = flags.GetInt("emb-budget");
-  config.enforce_dmax_on_results = flags.GetBool("strict-dmax");
-  SM_ASSIGN_OR_RETURN(config.support_measure,
-                      ParseMeasure(flags.GetString("measure")));
-  config.txn_sample = flags.GetInt("txn-sample");
-  VertexTxnMap txn_map_storage;  // must outlive miner.Mine()
+  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(flags));
+  VertexTxnMap txn_map_storage;  // must outlive the session
   SM_ASSIGN_OR_RETURN(
       config.txn_map,
       MaybeLoadTxnMap(flags.GetString("txn-map"), graph, &txn_map_storage));
 
-  SpiderMiner miner(&graph, config);
-  // `mine` IS the one-shot fused path the shim exists for; the session
-  // lifecycle is served by `stage1` / `query` / `serve`.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  SM_ASSIGN_OR_RETURN(MineResult result, miner.Mine());
-#pragma GCC diagnostic pop
-
-  std::vector<MinedPattern> patterns = std::move(result.patterns);
-  if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
-
-  out << "top " << patterns.size() << " patterns ("
-      << SupportMeasureName(config.support_measure) << " support):\n";
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
-  }
-  if (flags.GetBool("variants")) {
-    std::vector<VariantGroup> groups = GroupVariants(patterns);
-    out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
-  }
-  if (flags.GetBool("stats")) {
-    out << result.stats.ToString();
-  }
-  if (!flags.GetString("out").empty()) {
-    const std::string& prefix = flags.GetString("out");
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const std::string path = StrCat(prefix, ".", i + 1, ".smp");
-      SM_RETURN_NOT_OK(SavePatternBinary(patterns[i].pattern, path));
-    }
-    out << "wrote " << patterns.size() << " pattern files to " << prefix
-        << ".*.smp\n";
-  }
-  return Status::Ok();
+  // --time-budget spans Stage I and the query.
+  SM_ASSIGN_OR_RETURN(QueryResult result, MineOnce(&graph, config, query));
+  return PrintTopK(flags, std::move(result), "", "", out);
 }
 
 Status CmdStage1(const std::vector<std::string>& args, std::ostream& out) {
@@ -586,30 +606,10 @@ Status CmdQuery(const std::vector<std::string>& args, std::ostream& out) {
   flags.AddInt("support", 0,
                "query support threshold (0 = the artifact's mined floor; "
                "values below the floor are rejected)")
-      .AddInt("k", 10, "number of top patterns K")
-      .AddInt("dmax", 4, "pattern diameter bound Dmax")
-      .AddDouble("epsilon", 0.1, "error bound epsilon")
-      .AddInt("vmin", 0, "minimum large-pattern vertices (0 = |V|/10)")
-      .AddInt("seed", 42, "rng seed")
-      .AddInt("restarts", 1, "independent stage II+III runs")
       .AddInt("threads", 1,
               "worker threads (0 = all cores); results are identical at "
-              "any value")
-      .AddString("measure", "vertex-mis", kMeasureHelp)
-      .AddString("txn-map", "", kTxnMapHelp)
-      .AddInt("txn-sample", 0, kTxnSampleHelp)
-      .AddDouble("time-budget", 0.0, "wall-clock budget seconds (0 = off)")
-      .AddInt("emb-budget", 4096,
-              "per-lineage carried embedding-list budget (0 = VF2-only "
-              "closure); results are identical at any value")
-      .AddBool("strict-dmax", false,
-               "drop results whose diameter exceeds dmax (Definition 2)")
-      .AddBool("maximal", false, "keep only maximal patterns")
-      .AddBool("variants", false, "print Fig.23-style variant groups")
-      .AddBool("stats", false, "print query statistics")
-      .AddString("out", "",
-                 "write top patterns to <out>.<rank>.smp (binary pattern "
-                 "files; empty = do not save)");
+              "any value");
+  AddQueryFlags(&flags);
   SM_RETURN_NOT_OK(flags.Parse(args));
   if (flags.positional().size() != 2) {
     return Status::InvalidArgument(
@@ -630,52 +630,14 @@ Status CmdQuery(const std::vector<std::string>& args, std::ostream& out) {
       MiningSession::LoadStage1(&graph, session_config,
                                 flags.positional()[1]));
 
-  TopKQuery query;
-  query.min_support = flags.GetInt("support");
-  query.k = static_cast<int32_t>(flags.GetInt("k"));
-  query.dmax = static_cast<int32_t>(flags.GetInt("dmax"));
-  query.epsilon = flags.GetDouble("epsilon");
-  query.vmin = flags.GetInt("vmin");
-  query.rng_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  query.restarts = static_cast<int32_t>(flags.GetInt("restarts"));
-  query.time_budget_seconds = flags.GetDouble("time-budget");
-  query.embedding_list_budget = flags.GetInt("emb-budget");
-  query.enforce_dmax_on_results = flags.GetBool("strict-dmax");
-  SM_ASSIGN_OR_RETURN(query.support_measure,
-                      ParseMeasure(flags.GetString("measure")));
-  query.txn_sample = flags.GetInt("txn-sample");
-
+  SM_ASSIGN_OR_RETURN(TopKQuery query, QueryFromFlags(flags));
   SM_ASSIGN_OR_RETURN(QueryResult result, session.RunQuery(query));
-
-  std::vector<MinedPattern> patterns = std::move(result.patterns);
-  if (flags.GetBool("maximal")) patterns = FilterMaximal(std::move(patterns));
-
-  out << "top " << patterns.size() << " patterns ("
-      << SupportMeasureName(query.support_measure) << " support, "
-      << session.store().size() << " cached spiders):\n";
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    PrintPatternRow(out, i + 1, patterns[i].pattern, patterns[i].support);
-  }
-  if (flags.GetBool("variants")) {
-    std::vector<VariantGroup> groups = GroupVariants(patterns);
-    out << "variant groups:\n" << VariantGroupsToString(patterns, groups);
-  }
-  if (flags.GetBool("stats")) {
-    out << "artifact load: "
-        << Stage1LoadModeName(session.stage1_load_mode()) << " in "
-        << session.stage1_load_seconds() << "s\n";
-    out << result.stats.ToString();
-  }
-  if (!flags.GetString("out").empty()) {
-    const std::string& prefix = flags.GetString("out");
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      const std::string path = StrCat(prefix, ".", i + 1, ".smp");
-      SM_RETURN_NOT_OK(SavePatternBinary(patterns[i].pattern, path));
-    }
-    out << "wrote " << patterns.size() << " pattern files to " << prefix
-        << ".*.smp\n";
-  }
-  return Status::Ok();
+  return PrintTopK(
+      flags, std::move(result),
+      StrCat(", ", session.store().size(), " cached spiders"),
+      StrCat("artifact load: ", Stage1LoadModeName(session.stage1_load_mode()),
+             " in ", session.stage1_load_seconds(), "s\n"),
+      out);
 }
 
 Status PrecheckStage1Artifact(const std::string& path) {
