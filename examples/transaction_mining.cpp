@@ -31,7 +31,9 @@ int main() {
   gen.large_txn_support = 6;
   gen.num_small = 100;
   gen.small_vertices = 5;
-  gen.small_txn_support = 8;
+  // At 8 transactions each, the planted patterns would claim 4,900 of the
+  // 5,000 vertices and the generator would run out of fresh ones.
+  gen.small_txn_support = 6;
   gen.seed = 77;
   Result<TransactionDataset> data = GenerateTransactionDataset(gen);
   if (!data.ok()) {

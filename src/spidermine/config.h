@@ -215,7 +215,7 @@ struct MineStats {
   int64_t merges = 0;             ///< merged patterns created
   int64_t merge_attempts = 0;     ///< pattern pairs examined
   int64_t pruned_unmerged = 0;    ///< patterns dropped at end of Stage II
-  int64_t iso_checks_skipped = 0; ///< spider-set filter rejections
+  int64_t iso_checks_skipped = 0; ///< WL-fingerprint prefilter rejections
   int64_t iso_checks_run = 0;     ///< exact iso tests after filter collision
   int64_t nonclosed_dropped = 0;  ///< patterns dropped by closedness rule
   int64_t emb_extensions = 0;     ///< carried-list incremental extensions/joins

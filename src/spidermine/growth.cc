@@ -5,7 +5,7 @@
 #include <functional>
 #include <unordered_set>
 
-#include "pattern/dfs_code.h"
+#include "pattern/pattern_dedup_index.h"
 #include "pattern/vf2.h"
 #include "support/support_measure.h"
 
@@ -77,54 +77,6 @@ uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
          static_cast<uint32_t>(anchor);
 }
 
-/// The SpiderSetCheck fold: moves \p embeddings into duplicate \p other up
-/// to the per-pattern cap, then re-dedups by image. Callers recompute
-/// other->support when they need it fresh (the coordinator batches that).
-void FoldEmbeddings(GrowthPattern* other, std::vector<Embedding>&& embeddings,
-                    int64_t max_embeddings) {
-  for (Embedding& e : embeddings) {
-    if (static_cast<int64_t>(other->embeddings.size()) >= max_embeddings) {
-      break;
-    }
-    other->embeddings.push_back(std::move(e));
-  }
-  DedupEmbeddingsByImage(&other->embeddings);
-}
-
-/// Spider-set dedup (SpiderSetCheck) against an arbitrary pattern pool:
-/// returns the pool index of an isomorphic existing pattern or -1. Counter
-/// pointers let both worker lineages (local counters) and the coordinator
-/// (shared MineStats) reuse the scan.
-int64_t FindDuplicateIn(
-    std::deque<GrowthPattern>& pool,
-    const std::unordered_map<uint64_t, std::vector<int64_t>>& dedup,
-    GrowthPattern& candidate, int64_t* iso_checks_skipped,
-    int64_t* iso_checks_run) {
-  auto it = dedup.find(candidate.spider_set.digest());
-  if (it == dedup.end()) return -1;
-  for (int64_t idx : it->second) {
-    GrowthPattern& other = pool[static_cast<size_t>(idx)];
-    if (!(other.spider_set == candidate.spider_set)) {
-      ++*iso_checks_skipped;  // digest collision, filter rejected
-      continue;
-    }
-    // Iso-hash prefilter: WL fingerprints are computed at most once per
-    // pattern (cached) and a mismatch certifies non-isomorphism, so the
-    // exponential-worst-case VF2 test runs only on true hash collisions.
-    if (candidate.iso_hash == 0) {
-      candidate.iso_hash = PatternIsoHash(candidate.pattern);
-    }
-    if (other.iso_hash == 0) other.iso_hash = PatternIsoHash(other.pattern);
-    if (other.iso_hash != candidate.iso_hash) {
-      ++*iso_checks_skipped;  // fingerprint mismatch, filter rejected
-      continue;
-    }
-    ++*iso_checks_run;
-    if (ArePatternsIsomorphic(other.pattern, candidate.pattern)) return idx;
-  }
-  return -1;
-}
-
 }  // namespace
 
 /// Stat counters a worker accumulates privately; the coordinator folds them
@@ -152,38 +104,71 @@ struct GrowthEngine::LocalStats {
   }
 };
 
+/// A growth-round pattern pool with SpiderSetCheck dedup: entries are keyed
+/// by spider-set digest in one PatternDedupIndex. Deque storage keeps
+/// references stable across Admit().
+struct GrowthEngine::PatternPool {
+  std::deque<GrowthPattern> pool;
+  std::vector<char> dead;
+  PatternDedupIndex index;
+
+  int64_t Admit(GrowthPattern gp) {
+    const int64_t idx = index.Add(gp.spider_set.digest(), gp.iso_hash);
+    pool.push_back(std::move(gp));
+    dead.push_back(0);
+    return idx;
+  }
+
+  /// The SpiderSetCheck fold: when an entry is isomorphic to \p candidate,
+  /// moves the candidate's embeddings into it up to \p max_embeddings,
+  /// re-dedups them by image, ORs in merged_ever and returns its index;
+  /// otherwise returns -1. Callers recompute the entry's support when they
+  /// need it fresh (the coordinator batches that).
+  int64_t FoldDuplicate(GrowthPattern* candidate, int64_t max_embeddings,
+                        int64_t* iso_checks_skipped, int64_t* iso_checks_run) {
+    const int64_t dup = index.Find(
+        candidate->spider_set.digest(), candidate->pattern,
+        &candidate->iso_hash,
+        [this](int64_t i) -> const Pattern& { return pool[i].pattern; },
+        iso_checks_skipped, iso_checks_run);
+    if (dup < 0) return -1;
+    GrowthPattern& other = pool[dup];
+    for (Embedding& e : candidate->embeddings) {
+      if (static_cast<int64_t>(other.embeddings.size()) >= max_embeddings) {
+        break;
+      }
+      other.embeddings.push_back(std::move(e));
+    }
+    DedupEmbeddingsByImage(&other.embeddings);
+    other.merged_ever |= candidate->merged_ever;
+    return dup;
+  }
+
+  /// Moves entry \p idx out with the fingerprint the index cached for it,
+  /// so later rounds and the result collector never recompute it.
+  GrowthPattern Take(int64_t idx) {
+    GrowthPattern gp = std::move(pool[idx]);
+    gp.iso_hash = index.iso_hash(idx);
+    return gp;
+  }
+};
+
 /// The intra-round expansion state of ONE input pattern, owned entirely by
 /// the worker expanding it. pool[0] is the input; later entries are the
 /// extensions discovered this round. Registry values are LOCAL pool
 /// indices; the coordinator rewrites them to global pattern ids.
-struct GrowthEngine::Lineage {
-  std::deque<GrowthPattern> pool;  // stable storage (deque: no realloc moves)
-  std::vector<char> dead;
+struct GrowthEngine::Lineage : PatternPool {
   std::deque<int64_t> queue;
-  // spider-set digest -> pool indices (dedup buckets)
-  std::unordered_map<uint64_t, std::vector<int64_t>> dedup;
   // (spider id, anchor) key -> local pool indices that used it
   std::unordered_map<uint64_t, std::vector<int64_t>> registry;
   LocalStats stats;
   bool any_growth = false;
   bool truncated = false;
-
-  int64_t Admit(GrowthPattern gp) {
-    int64_t idx = static_cast<int64_t>(pool.size());
-    dedup[gp.spider_set.digest()].push_back(idx);
-    pool.push_back(std::move(gp));
-    dead.push_back(0);
-    return idx;
-  }
 };
 
 /// Coordinator-side round state: the union of all lineages after stable
 /// cross-lineage dedup, plus the merge machinery (Algorithm 4 buffers).
-struct GrowthEngine::RoundState {
-  std::deque<GrowthPattern> pool;
-  std::vector<char> dead;
-  // spider-set digest -> pool indices (dedup buckets)
-  std::unordered_map<uint64_t, std::vector<int64_t>> dedup;
+struct GrowthEngine::RoundState : PatternPool {
   // pattern id -> pool index (for resolving merge-registry entries)
   std::unordered_map<int64_t, int64_t> id_to_pool;
   MergeRegistry registry;
@@ -191,12 +176,8 @@ struct GrowthEngine::RoundState {
   bool truncated = false;
 
   int64_t Admit(GrowthPattern gp) {
-    int64_t idx = static_cast<int64_t>(pool.size());
-    dedup[gp.spider_set.digest()].push_back(idx);
-    id_to_pool[gp.id] = idx;
-    pool.push_back(std::move(gp));
-    dead.push_back(0);
-    return idx;
+    id_to_pool[gp.id] = static_cast<int64_t>(pool.size());
+    return PatternPool::Admit(std::move(gp));
   }
 };
 
@@ -425,19 +406,16 @@ bool GrowthEngine::TryExtend(
         base.spider_set.Updated(q.pattern, session_->spider_radius, changed);
   }
 
-  int64_t dup = FindDuplicateIn(ls->pool, ls->dedup, q,
-                                &ls->stats.iso_checks_skipped,
-                                &ls->stats.iso_checks_run);
+  q.merged_ever = base.merged_ever;
+  int64_t dup = ls->FoldDuplicate(&q, query_->max_embeddings_per_pattern,
+                                  &ls->stats.iso_checks_skipped,
+                                  &ls->stats.iso_checks_run);
   if (dup >= 0) {
-    // Redundant generation (SpiderSetCheck hit): fold the new embeddings
+    // Redundant generation (SpiderSetCheck hit): the new embeddings went
     // into the existing pattern instead of duplicating it. Support is
-    // recomputed eagerly: the lineage may extend `other` later and its
+    // recomputed eagerly: the lineage may extend that pattern later and its
     // closedness checks compare against the up-to-date value.
-    GrowthPattern& other = ls->pool[dup];
-    FoldEmbeddings(&other, std::move(q.embeddings),
-                   query_->max_embeddings_per_pattern);
-    other.support = Support(other);
-    other.merged_ever |= base.merged_ever;
+    ls->pool[dup].support = Support(ls->pool[dup]);
     return false;
   }
 
@@ -458,7 +436,6 @@ bool GrowthEngine::TryExtend(
   q.cursor = base.cursor + 1;
   q.next_boundary = base.next_boundary;
   for (VertexId nv : new_vertices) q.next_boundary.push_back(nv);
-  q.merged_ever = base.merged_ever;
   int64_t idx = ls->Admit(std::move(q));
   ls->queue.push_back(idx);
   ls->any_growth = true;
@@ -795,15 +772,12 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       merged.next_boundary = std::move(c.boundary);
       merged.merged_ever = true;
       merged.id = next_id_++;
-      int64_t dup = FindDuplicateIn(rs->pool, rs->dedup, merged,
-                                    &stats_->iso_checks_skipped,
-                                    &stats_->iso_checks_run);
+      // merged.merged_ever is set, so a fold target becomes a merge product.
+      int64_t dup = rs->FoldDuplicate(
+          &merged, query_->max_embeddings_per_pattern,
+          &stats_->iso_checks_skipped, &stats_->iso_checks_run);
       if (dup >= 0) {
-        GrowthPattern& other = rs->pool[dup];
-        other.merged_ever = true;  // it is now a merge product
-        FoldEmbeddings(&other, std::move(merged.embeddings),
-                       query_->max_embeddings_per_pattern);
-        other.support = Support(other);
+        rs->pool[dup].support = Support(rs->pool[dup]);
         continue;
       }
       if (list_budget_ > 0) {
@@ -894,7 +868,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
     Lineage& ls = lineages[static_cast<size_t>(i)];
     global_of[static_cast<size_t>(i)].assign(ls.pool.size(), -1);
     char input_dead = ls.dead[0];
-    int64_t idx = rs.Admit(std::move(ls.pool[0]));
+    int64_t idx = rs.Admit(ls.Take(0));
     rs.dead[idx] = input_dead;
     global_of[static_cast<size_t>(i)][0] = idx;
   }
@@ -907,16 +881,12 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   for (int64_t i = 0; i < n; ++i) {
     Lineage& ls = lineages[static_cast<size_t>(i)];
     for (size_t c = 1; c < ls.pool.size(); ++c) {
-      GrowthPattern child = std::move(ls.pool[c]);
-      int64_t dup = FindDuplicateIn(rs.pool, rs.dedup, child,
-                                    &stats_->iso_checks_skipped,
-                                    &stats_->iso_checks_run);
+      GrowthPattern child = ls.Take(c);
+      int64_t dup = rs.FoldDuplicate(&child, query_->max_embeddings_per_pattern,
+                                     &stats_->iso_checks_skipped,
+                                     &stats_->iso_checks_run);
       if (dup >= 0) {
-        GrowthPattern& other = rs.pool[dup];
-        FoldEmbeddings(&other, std::move(child.embeddings),
-                       query_->max_embeddings_per_pattern);
         support_dirty.push_back(dup);
-        other.merged_ever |= child.merged_ever;
         // A non-closed verdict from any lineage applies to the shared
         // pattern (Algorithm 2's closedness drop must survive the fold).
         rs.dead[dup] = rs.dead[dup] || ls.dead[c];
@@ -972,7 +942,7 @@ GrowRoundResult GrowthEngine::GrowRound(std::vector<GrowthPattern> input,
   out.truncated = rs.truncated;
   for (size_t idx = 0; idx < rs.pool.size(); ++idx) {
     if (rs.dead[idx]) continue;
-    GrowthPattern gp = std::move(rs.pool[idx]);
+    GrowthPattern gp = rs.Take(idx);
     std::sort(gp.next_boundary.begin(), gp.next_boundary.end());
     gp.next_boundary.erase(
         std::unique(gp.next_boundary.begin(), gp.next_boundary.end()),

@@ -61,8 +61,8 @@ struct GrowthPattern {
   bool merged_ever = false;
   /// Spider-set representation for the isomorphism filter.
   SpiderSetRepr spider_set;
-  /// Cached PatternIsoHash of `pattern` (0 = not yet computed). Filled
-  /// lazily by the dedup scans; valid because a GrowthPattern's pattern is
+  /// Cached PatternIsoHash of `pattern` (0 = not yet computed), filled
+  /// lazily by the dedup index; valid because a GrowthPattern's pattern is
   /// never mutated after construction (extensions build fresh candidates).
   uint64_t iso_hash = 0;
   /// Unique id for merge bookkeeping (assigned by the coordinating thread
@@ -138,6 +138,7 @@ class GrowthEngine {
   }
 
  private:
+  struct PatternPool;
   struct RoundState;
   struct Lineage;
   struct LocalStats;

@@ -1,7 +1,8 @@
 #include "spidermine/session.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,8 +10,7 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "graph/binary_format.h"
-#include "pattern/dfs_code.h"
-#include "pattern/spider_set.h"
+#include "pattern/pattern_dedup_index.h"
 #include "pattern/vf2.h"
 #include "spider/spider_store_io.h"
 #include "spider/spider_store_mmap.h"
@@ -33,95 +33,76 @@ bool LargerPattern(const MinedPattern& a, const MinedPattern& b) {
   return a.support > b.support;
 }
 
-/// Accumulates every discovered pattern, deduplicating by spider-set +
-/// exact isomorphism, keeping the best-support variant.
-class ResultCollector {
- public:
-  ResultCollector(const QueryConfig* query, int32_t spider_radius,
-                  MineStats* stats)
-      : query_(query), spider_radius_(spider_radius), stats_(stats) {}
+/// MinedPatterns kept duplicate-free through one PatternDedupIndex: the
+/// Stage III result collector, the post-closure re-dedup and
+/// AccumulateTopK.
+struct PatternList {
+  std::vector<MinedPattern> items;
+  PatternDedupIndex index;
 
-  void Add(const GrowthPattern& gp) {
-    uint64_t digest = gp.spider_set.digest();
-    auto [it, inserted] = buckets_.try_emplace(digest);
-    // The growth engine usually cached the candidate's WL fingerprint
-    // already; 0 = compute lazily at the first bucket comparison.
-    uint64_t gp_hash = gp.iso_hash;
-    for (int64_t idx : it->second) {
-      MinedPattern& existing = results_[idx];
-      // Iso-hash prefilter: a fingerprint mismatch certifies
-      // non-isomorphism without running VF2.
-      if (gp_hash == 0) gp_hash = PatternIsoHash(gp.pattern);
-      if (hashes_[idx] == 0) {
-        hashes_[idx] = PatternIsoHash(existing.pattern);
-      }
-      if (hashes_[idx] != gp_hash) {
-        ++stats_->iso_checks_skipped;
-        continue;
-      }
-      ++stats_->iso_checks_run;
-      if (ArePatternsIsomorphic(existing.pattern, gp.pattern)) {
-        if (gp.support > existing.support) {
-          // Replace the pattern together with its embeddings and carried
-          // list: the incumbent may be an isomorphic variant with a
-          // DIFFERENT vertex numbering, and embeddings/lists are only
-          // meaningful in their own pattern's numbering. (The digest and
-          // WL-hash bucket keys are isomorphism-invariant, so the cached
-          // bucket entry and hashes_[idx] stay valid.)
-          existing.pattern = gp.pattern;
-          existing.support = gp.support;
-          existing.embeddings = gp.embeddings;
-          existing.full_list = gp.full_list;
-        }
-        existing.from_merge |= gp.merged_ever;
-        return;
-      }
+  /// Adds a candidate under \p key (\p hash: its cached fingerprint, 0 =
+  /// unknown; counters may be null). The one fold rule: an isomorphic
+  /// duplicate with better support replaces the whole variant -- pattern,
+  /// embeddings and carried list are only meaningful in their own
+  /// pattern's vertex numbering -- and from_merge is sticky either way.
+  /// \p make() builds the candidate's MinedPattern, only when it is kept.
+  template <typename Make>
+  void Add(uint64_t key, const Pattern& pattern, uint64_t hash,
+           int64_t support, bool from_merge, const Make& make,
+           int64_t* iso_checks_skipped, int64_t* iso_checks_run) {
+    const int64_t dup = index.Find(
+        key, pattern, &hash,
+        [this](int64_t i) -> const Pattern& { return items[i].pattern; },
+        iso_checks_skipped, iso_checks_run);
+    if (dup < 0) {
+      items.push_back(make());
+      index.Add(key, hash);
+      return;
     }
-    MinedPattern mp;
-    mp.pattern = gp.pattern;
-    mp.embeddings = gp.embeddings;
-    mp.full_list = gp.full_list;
-    mp.support = gp.support;
-    mp.from_merge = gp.merged_ever;
-    it->second.push_back(static_cast<int64_t>(results_.size()));
-    results_.push_back(std::move(mp));
-    hashes_.push_back(gp_hash);  // may still be 0 (never compared)
-    if (static_cast<int64_t>(results_.size()) >
-        query_->max_results + kCompactionSlack) {
-      Compact();
-    }
+    const bool merged = items[dup].from_merge || from_merge;
+    if (support > items[dup].support) items[dup] = make();
+    items[dup].from_merge = merged;
   }
 
-  std::vector<MinedPattern> TakeSorted() {
-    std::sort(results_.begin(), results_.end(), LargerPattern);
-    return std::move(results_);
-  }
-
- private:
-  static constexpr int64_t kCompactionSlack = 1024;
-
-  void Compact() {
-    std::sort(results_.begin(), results_.end(), LargerPattern);
-    results_.resize(static_cast<size_t>(query_->max_results));
-    buckets_.clear();
-    // The sort permuted results_, so the cached fingerprints no longer
-    // align; reset them (0 = recompute lazily on the next collision).
-    hashes_.assign(results_.size(), 0);
-    for (size_t i = 0; i < results_.size(); ++i) {
-      SpiderSetRepr repr =
-          SpiderSetRepr::Compute(results_[i].pattern, spider_radius_);
-      buckets_[repr.digest()].push_back(static_cast<int64_t>(i));
+  /// Keeps the \p n largest entries with their keys and fingerprints.
+  /// Sorting a permutation makes the comparisons std::sort would make on
+  /// the items themselves, so ties land in the same order.
+  void KeepLargest(int64_t n) {
+    std::vector<int64_t> order(items.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [this](int64_t a, int64_t b) {
+      return LargerPattern(items[a], items[b]);
+    });
+    order.resize(static_cast<size_t>(n));
+    PatternList kept;
+    for (int64_t i : order) {
+      kept.items.push_back(std::move(items[i]));
+      kept.index.Add(index.key(i), index.iso_hash(i));
     }
+    *this = std::move(kept);
   }
-
-  const QueryConfig* query_;
-  int32_t spider_radius_;
-  MineStats* stats_;
-  std::vector<MinedPattern> results_;
-  /// Cached PatternIsoHash per results_ entry, 0 = not yet computed.
-  std::vector<uint64_t> hashes_;
-  std::unordered_map<uint64_t, std::vector<int64_t>> buckets_;
 };
+
+/// Returns \p kept with each of \p more added, bucketed by (|E|, |V|);
+/// stops once it holds more than \p max_kept entries.
+std::vector<MinedPattern> DedupInto(std::vector<MinedPattern> kept,
+                                    std::vector<MinedPattern> more,
+                                    int64_t max_kept,
+                                    int64_t* iso_checks_skipped,
+                                    int64_t* iso_checks_run) {
+  PatternList list;
+  for (const MinedPattern& mp : kept) {
+    list.index.Add(PatternDedupIndex::SizeKey(mp.pattern));
+  }
+  list.items = std::move(kept);
+  for (MinedPattern& mp : more) {
+    list.Add(PatternDedupIndex::SizeKey(mp.pattern), mp.pattern, 0,
+             mp.support, mp.from_merge, [&mp] { return std::move(mp); },
+             iso_checks_skipped, iso_checks_run);
+    if (static_cast<int64_t>(list.items.size()) > max_kept) break;
+  }
+  return std::move(list.items);
+}
 
 /// Stride between per-run RNG substream seeds. Runs must not share a
 /// stream: with a shared stream the amount of randomness run r consumes
@@ -189,41 +170,10 @@ const char* Stage1LoadModeName(Stage1LoadMode mode) {
 
 void AccumulateTopK(std::vector<MinedPattern>* accumulated,
                     std::vector<MinedPattern> more, int64_t k) {
-  // Per-entry WL fingerprints, computed at most once (0 = not yet): a
-  // mismatch certifies non-isomorphism and skips the exact VF2 test.
-  std::vector<uint64_t> kept_hashes(accumulated->size(), 0);
-  for (MinedPattern& candidate : more) {
-    bool duplicate = false;
-    uint64_t candidate_hash = 0;
-    for (size_t i = 0; i < accumulated->size(); ++i) {
-      MinedPattern& kept = (*accumulated)[i];
-      if (kept.NumEdges() != candidate.NumEdges() ||
-          kept.NumVertices() != candidate.NumVertices()) {
-        continue;
-      }
-      if (candidate_hash == 0) {
-        candidate_hash = PatternIsoHash(candidate.pattern);
-      }
-      if (kept_hashes[i] == 0) kept_hashes[i] = PatternIsoHash(kept.pattern);
-      if (kept_hashes[i] != candidate_hash) continue;
-      if (ArePatternsIsomorphic(kept.pattern, candidate.pattern)) {
-        // Same fold semantics as the in-query ResultCollector: best
-        // support wins, the merge provenance flag is sticky either way.
-        if (candidate.support > kept.support) {
-          candidate.from_merge |= kept.from_merge;
-          kept = std::move(candidate);
-        } else {
-          kept.from_merge |= candidate.from_merge;
-        }
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      accumulated->push_back(std::move(candidate));
-      kept_hashes.push_back(candidate_hash);  // may be 0 (never compared)
-    }
-  }
+  *accumulated = DedupInto(std::move(*accumulated), std::move(more),
+                           std::numeric_limits<int64_t>::max(),
+                           /*iso_checks_skipped=*/nullptr,
+                           /*iso_checks_run=*/nullptr);
   std::sort(accumulated->begin(), accumulated->end(), LargerPattern);
   if (k > 0 && static_cast<int64_t>(accumulated->size()) > k) {
     accumulated->resize(static_cast<size_t>(k));
@@ -565,7 +515,24 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
 
   GrowthEngine engine(graph_, index_.get(), &config_, &q, &stats, &deadline,
                       pool_, &cancel);
-  ResultCollector collector(&q, config_.spider_radius, &stats);
+  // Stage III result collector: every discovered pattern, deduplicated by
+  // spider-set digest. The growth engine usually cached the fingerprint.
+  constexpr int64_t kCompactionSlack = 1024;
+  PatternList collected;
+  auto collect = [&q, &stats, &collected](const GrowthPattern& gp) {
+    collected.Add(
+        gp.spider_set.digest(), gp.pattern, gp.iso_hash, gp.support,
+        gp.merged_ever,
+        [&gp] {
+          return MinedPattern{gp.pattern, gp.embeddings, gp.full_list,
+                              gp.support, gp.merged_ever};
+        },
+        &stats.iso_checks_skipped, &stats.iso_checks_run);
+    if (static_cast<int64_t>(collected.items.size()) >
+        q.max_results + kCompactionSlack) {
+      collected.KeepLargest(q.max_results);
+    }
+  };
   // Sampling-based transaction mode: each restart run draws its own sorted
   // whitelist from the run's salted substream (empty = count everything).
   // The vector outlives every engine call of its run; the closure recount
@@ -653,7 +620,7 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
 
     // ---------------- Stage III: recover full patterns. ----------------
     stage_timer.Restart();
-    for (const GrowthPattern& gp : working) collector.Add(gp);
+    for (const GrowthPattern& gp : working) collect(gp);
 
     for (int32_t round = 0; round < q.stage3_max_rounds; ++round) {
       if (working.empty()) break;
@@ -667,16 +634,17 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
       ++stats.stage3_rounds;
       working.clear();
       for (GrowthPattern& gp : grown.patterns) {
-        collector.Add(gp);
+        collect(gp);
         if (!gp.exhausted) working.push_back(std::move(gp));
       }
       if (!grown.any_growth) break;
     }
-    for (const GrowthPattern& gp : working) collector.Add(gp);
+    for (const GrowthPattern& gp : working) collect(gp);
     stats.stage3_seconds += stage_timer.ElapsedSeconds();
   }
 
-  std::vector<MinedPattern> all = collector.TakeSorted();
+  std::vector<MinedPattern> all = std::move(collected.items);
+  std::sort(all.begin(), all.end(), LargerPattern);
 
   // Internal-edge closure (closure.h): restore frequent cycle-closing edges
   // the star-based growth could not add, then re-deduplicate (closure can
@@ -766,51 +734,11 @@ Result<QueryResult> MiningSession::RunQuery(const TopKQuery& query) const {
     }
     if (stats.closure_edges_added > 0) {
       std::sort(all.begin(), all.end(), LargerPattern);
-      std::vector<MinedPattern> deduped;
-      // WL fingerprints of the kept patterns (closure may have changed
-      // every pattern, so nothing cached upstream applies; 0 = lazy).
-      std::vector<uint64_t> deduped_hashes;
-      for (MinedPattern& mp : all) {
-        bool duplicate = false;
-        uint64_t mp_hash = 0;
-        for (size_t j = 0; j < deduped.size(); ++j) {
-          MinedPattern& kept = deduped[j];
-          if (kept.NumEdges() != mp.NumEdges() ||
-              kept.NumVertices() != mp.NumVertices()) {
-            continue;
-          }
-          if (mp_hash == 0) mp_hash = PatternIsoHash(mp.pattern);
-          if (deduped_hashes[j] == 0) {
-            deduped_hashes[j] = PatternIsoHash(kept.pattern);
-          }
-          if (deduped_hashes[j] != mp_hash) {
-            ++stats.iso_checks_skipped;
-            continue;
-          }
-          ++stats.iso_checks_run;
-          if (ArePatternsIsomorphic(kept.pattern, mp.pattern)) {
-            if (mp.support > kept.support) {
-              // Replace the whole variant: the embeddings (and any carried
-              // list) are expressed in mp.pattern's vertex numbering, which
-              // an isomorphic kept.pattern need not share.
-              kept.pattern = mp.pattern;
-              kept.support = mp.support;
-              kept.embeddings = mp.embeddings;
-              kept.full_list = mp.full_list;
-            }
-            kept.from_merge |= mp.from_merge;
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) {
-          deduped.push_back(std::move(mp));
-          deduped_hashes.push_back(mp_hash);
-        }
-        // Dedup cost is bounded: only the top window can reach the final K.
-        if (static_cast<int64_t>(deduped.size()) > 4 * q.k + 16) break;
-      }
-      all = std::move(deduped);
+      // Closure may have changed every pattern, so nothing cached upstream
+      // applies. Dedup cost is bounded: only the top window can reach the
+      // final K.
+      all = DedupInto({}, std::move(all), 4 * q.k + 16,
+                      &stats.iso_checks_skipped, &stats.iso_checks_run);
     }
   }
 

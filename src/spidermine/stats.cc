@@ -55,8 +55,8 @@ std::string MineStats::ToString() const {
      << "s\n"
      << "growth: " << extend_calls << " extend calls, " << growth_steps
      << " spider appends, " << nonclosed_dropped << " non-closed dropped\n"
-     << "isomorphism: " << iso_checks_skipped << " skipped by spider-set, "
-     << iso_checks_run << " run\n"
+     << "isomorphism: " << iso_checks_skipped
+     << " skipped by WL fingerprint, " << iso_checks_run << " run\n"
      << "embedding lists: " << emb_extensions << " extensions, "
      << emb_carried << " closure candidates carried, " << vf2_fallbacks
      << " VF2 fallbacks\n"

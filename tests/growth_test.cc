@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "pattern/dfs_code.h"
 #include "pattern/vf2.h"
 #include "spider/star_miner.h"
 #include "spider_test_util.h"
@@ -135,6 +136,27 @@ TEST(GrowthTest, NonClosedSubPatternsAreDropped) {
     EXPECT_TRUE(std::binary_search(labels.begin(), labels.end(), 0))
         << gp.pattern.ToString();
     EXPECT_TRUE(std::binary_search(labels.begin(), labels.end(), 4))
+        << gp.pattern.ToString();
+  }
+}
+
+TEST(GrowthTest, DedupTargetsCarryTheirFingerprintsOut) {
+  // The same seed twice: the second lineage's extensions all fold into the
+  // first's, so every surviving pattern was compared as a pool entry and
+  // must leave the round with the fingerprint the dedup index cached.
+  Fixture f(TwoPaths());
+  int32_t s = f.FindStar(2, {1, 3});
+  ASSERT_NE(s, -1);
+  std::vector<GrowthPattern> working;
+  working.push_back(f.engine->SeedFromSpider(s));
+  working.push_back(f.engine->SeedFromSpider(s));
+  MergeRegistry previous;
+  GrowRoundResult r = f.engine->GrowRound(std::move(working), false,
+                                          &previous);
+  EXPECT_GT(f.stats.iso_checks_run, 0);
+  ASSERT_FALSE(r.patterns.empty());
+  for (const GrowthPattern& gp : r.patterns) {
+    EXPECT_EQ(gp.iso_hash, PatternIsoHash(gp.pattern))
         << gp.pattern.ToString();
   }
 }

@@ -263,6 +263,51 @@ TEST(SessionTest, AccumulateTopKDedupsAcrossQueries) {
   }
 }
 
+TEST(SessionTest, CompactingResultCollectorStaysDuplicateFree) {
+  // Stage III collects far more than max_results + 1024 patterns on this
+  // graph, so max_results = 1 makes the collector keep only its largest
+  // entries several times during the query.
+  Rng rng(42);
+  GraphBuilder builder = GenerateErdosRenyi(5000, 2.2, 16, &rng);
+  Pattern planted = RandomConnectedPattern(15, 0.2, 16, &rng);
+  PatternInjector injector(&builder);
+  ASSERT_TRUE(injector.Inject(planted, 4, &rng).ok());
+  LabeledGraph g = std::move(builder.Build()).value();
+  SessionConfig config = BaseSessionConfig();
+  config.num_threads = 4;
+  Result<MiningSession> session = MiningSession::Create(&g, config);
+  ASSERT_TRUE(session.ok()) << session.status();
+  TopKQuery query;
+  query.k = 16;
+  query.dmax = 4;
+  query.vmin = 8;
+  query.rng_seed = 1;
+  // No closure: its re-dedup would hide duplicates the collector let in.
+  query.close_internal_edges = false;
+
+  std::vector<MineStats> stats;
+  for (int64_t max_results : {int64_t{10000}, int64_t{1}}) {
+    query.max_results = max_results;
+    Result<QueryResult> result = session->RunQuery(query);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::vector<MinedPattern>& patterns = result->patterns;
+    ASSERT_FALSE(patterns.empty());
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      if (i > 0) EXPECT_GE(patterns[i - 1].NumEdges(), patterns[i].NumEdges());
+      for (size_t j = i + 1; j < patterns.size(); ++j) {
+        EXPECT_FALSE(ArePatternsIsomorphic(patterns[i].pattern,
+                                           patterns[j].pattern))
+            << "duplicate result at " << i << "," << j
+            << " with max_results=" << max_results;
+      }
+    }
+    stats.push_back(result->stats);
+  }
+  EXPECT_NE(stats[0].iso_checks_run + stats[0].iso_checks_skipped,
+            stats[1].iso_checks_run + stats[1].iso_checks_skipped)
+      << "compaction never fired: the collector compared the same entries";
+}
+
 TEST(SessionTest, CanonicalHashNormalizesDefaultedFields) {
   // The hash keys the serving result cache, so every defaulted field must
   // collapse onto its explicit resolution — exactly how RunQuery resolves
