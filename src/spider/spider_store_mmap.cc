@@ -169,12 +169,19 @@ std::string Stage1ToSm2Bytes(const SpiderStore& store,
   return out;
 }
 
+Status RetiredSm1Error(const std::string& path) {
+  return Status::IoError(
+      StrCat("stage1 artifact '", path,
+             "' uses the retired .sm1 format, which is no longer read; "
+             "re-create it with `spidermine stage1`"));
+}
+
 Status SaveStage1Sm2(const SpiderStore& store, const SpiderIndex& index,
                      const Stage1Meta& meta, const std::string& path) {
   if (!Sm2HostSupported()) {
     return Status::IoError(
-        "the zero-copy .sm2 format is little-endian only; use the legacy "
-        ".sm1 writer on this host");
+        "the .sm2 Stage I format is little-endian only and cannot be "
+        "written on this host");
   }
   return binary_format::WriteFile(path,
                                   Stage1ToSm2Bytes(store, index, meta));
@@ -189,6 +196,10 @@ Result<std::unique_ptr<MappedStage1>> MappedStage1::Open(
   }
   SM_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
   const std::span<const uint8_t> bytes = file.bytes();
+  if (bytes.size() >= 4 &&
+      std::memcmp(bytes.data(), kRetiredSm1Magic, 4) == 0) {
+    return RetiredSm1Error(path);
+  }
   if (bytes.size() < kSm2HeaderBytes + 4) {
     return Status::IoError(StrCat("sm2 file too short: ", bytes.size(),
                                   " bytes < ", kSm2HeaderBytes + 4,

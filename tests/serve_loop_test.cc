@@ -27,7 +27,6 @@
 #include "gen/injection.h"
 #include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
-#include "spider/spider_store_io.h"
 #include "spider/spider_store_mmap.h"
 #include "spidermine/session.h"
 #include "tools/cli_commands.h"
@@ -406,15 +405,22 @@ TEST(ServePrecheckTest, UnrecognizedMagicFailsFast) {
 TEST(ServePrecheckTest, RecognizedMagicsPassTheSniff) {
   // The precheck is a four-byte magic sniff, not full validation: its job
   // is to reject obviously-wrong paths before the expensive graph load.
-  // Structural errors still surface at LoadStage1.
+  // Structural errors still surface at LoadStage1. An artifact in the
+  // retired `.sm1` format is refused here with a re-create hint.
   const std::string path =
       (std::filesystem::temp_directory_path() / "serve_precheck_magic.bin")
           .string();
-  for (const std::string magic :
-       {std::string(kSm1Magic, 4), std::string(kSm2Magic, 4)}) {
-    std::ofstream(path, std::ios::binary) << magic << "tail bytes";
-    EXPECT_TRUE(PrecheckStage1Artifact(path).ok()) << magic;
-  }
+  std::ofstream(path, std::ios::binary) << std::string(kSm2Magic, 4)
+                                        << "tail bytes";
+  EXPECT_TRUE(PrecheckStage1Artifact(path).ok());
+
+  std::ofstream(path, std::ios::binary) << "SMS1" << "tail bytes";
+  Status retired = PrecheckStage1Artifact(path);
+  EXPECT_EQ(retired.code(), StatusCode::kIoError);
+  EXPECT_NE(retired.message().find("retired .sm1 format"), std::string::npos)
+      << retired;
+  EXPECT_NE(retired.message().find("spidermine stage1"), std::string::npos)
+      << retired;
   std::filesystem::remove(path);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,7 +18,6 @@
 #include "gen/pattern_factory.h"
 #include "graph/binary_format.h"
 #include "graph/graph_builder.h"
-#include "spider/spider_store_io.h"
 #include "spider_test_util.h"
 #include "spidermine/session.h"
 
@@ -25,7 +25,8 @@
 /// queries byte-identically to the session that mined the store (at any
 /// thread count), corrupt/truncated/misaligned files must be rejected
 /// through Result<>, tampered bulk sections must be caught by the lazy CRC
-/// pass on first touch, and legacy `.sm1` artifacts must keep loading.
+/// pass on first touch, and artifacts in the retired `.sm1` format must be
+/// refused with a message saying how to re-create them.
 
 namespace spidermine {
 namespace {
@@ -121,6 +122,11 @@ TEST(SpiderStoreMmapTest, MappedSessionAnswersByteIdenticalQueries) {
           << "mapped session diverged at seed=" << seed
           << " threads=" << threads;
     }
+    // Re-saving the mapped session reproduces the artifact byte for byte.
+    const std::string resaved = TempPath("sm2_roundtrip_resaved.sm2");
+    ASSERT_TRUE(loaded->SaveStage1(resaved).ok());
+    EXPECT_EQ(ReadAll(resaved), ReadAll(fx.path));
+    std::filesystem::remove(resaved);
   }
   std::filesystem::remove(fx.path);
 }
@@ -255,36 +261,99 @@ TEST(SpiderStoreMmapTest, GraphMismatchRejected) {
   std::filesystem::remove(fx.path);
 }
 
-TEST(SpiderStoreMmapTest, LegacySm1ArtifactStillLoads) {
-  LabeledGraph g = TestGraph(108);
-  Result<MiningSession> mined = MiningSession::Create(&g, MinedConfig());
-  ASSERT_TRUE(mined.ok()) << mined.status();
-
-  // Write the legacy format directly (what a pre-`.sm2` release saved).
-  Stage1Meta meta;
-  meta.min_support = 3;
-  meta.spider_radius = mined->config().spider_radius;
-  meta.max_star_leaves = mined->config().max_star_leaves;
-  meta.max_spiders = mined->config().max_spiders;
-  meta.num_graph_vertices = g.NumVertices();
-  meta.graph_hash = g.ContentHash();
-  const std::string path = TempPath("sm2_legacy.sm1");
-  ASSERT_TRUE(SaveSpiderStoreBinary(mined->store(), meta, path).ok());
-  EXPECT_EQ(binary_format::PeekMagic(path), std::string(kSm1Magic, 4));
-
+TEST(SpiderStoreMmapTest, GraphSizeMismatchRejected) {
+  Fixture fx = MakeFixture("sm2_size_mismatch.sm2", 109);
+  Rng rng(99);
+  LabeledGraph other =
+      std::move(GenerateErdosRenyi(50, 2.0, 5, &rng).Build()).value();
   Result<MiningSession> loaded =
-      MiningSession::LoadStage1(&g, SessionConfig{}, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->stage1_load_mode(), Stage1LoadMode::kCopied);
-  EXPECT_FALSE(loaded->store().is_borrowed());
-  EXPECT_EQ(StoreTranscript(loaded->store()),
-            StoreTranscript(mined->store()));
-  Result<QueryResult> a = mined->RunQuery(SmallQuery(5));
-  Result<QueryResult> b = loaded->RunQuery(SmallQuery(5));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(PatternsTranscript(b->patterns), PatternsTranscript(a->patterns));
+      MiningSession::LoadStage1(&other, SessionConfig{}, fx.path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("-vertex graph"),
+            std::string::npos);
+  std::filesystem::remove(fx.path);
+}
+
+TEST(SpiderStoreMmapTest, EveryCoveredByteFlipRejected) {
+  // Flip each byte of a few-KB artifact that a CRC covers -- the header
+  // through its CRC, and every section -- and demand that Open or the lazy
+  // validation rejects it. The zero padding before each 64-byte-aligned
+  // section is covered by no CRC (Open checks only the section geometry),
+  // so flips there are skipped rather than expected to fail.
+  Rng rng(71);
+  LabeledGraph g =
+      std::move(GenerateErdosRenyi(40, 2.0, 4, &rng).Build()).value();
+  SessionConfig config;
+  config.min_support = 2;
+  Result<MiningSession> session = MiningSession::Create(&g, config);
+  ASSERT_TRUE(session.ok()) << session.status();
+  const std::string path = TempPath("sm2_byte_flip.sm2");
+  ASSERT_TRUE(session->SaveStage1(path).ok());
+  const std::string bytes = ReadAll(path);
+  ASSERT_GT(bytes.size(), 1024u);
+  ASSERT_LT(bytes.size(), 16384u);
+
+  // Header: 16-byte preamble + 9 x 32-byte table entries + 4-byte CRC.
+  // Entry k holds its section's offset at +8 and length at +16.
+  constexpr size_t kPreamble = 16;
+  constexpr size_t kEntryBytes = 32;
+  constexpr size_t kSections = 9;
+  std::vector<bool> covered(bytes.size(), false);
+  std::fill(covered.begin(),
+            covered.begin() + kPreamble + kSections * kEntryBytes + 4, true);
+  for (size_t kind = 0; kind < kSections; ++kind) {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    const char* entry = bytes.data() + kPreamble + kind * kEntryBytes;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(&length, entry + 16, sizeof(length));
+    ASSERT_LE(offset + length, bytes.size());
+    std::fill(covered.begin() + offset, covered.begin() + offset + length,
+              true);
+  }
+
+  const std::string bad_path = TempPath("sm2_byte_flip_bad.sm2");
+  size_t flips = 0;
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    if (!covered[pos]) continue;
+    std::string corrupted = bytes;
+    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x40);
+    WriteAll(bad_path, corrupted);
+    Result<std::unique_ptr<MappedStage1>> mapped =
+        MappedStage1::Open(bad_path);
+    const Status status =
+        mapped.ok() ? (*mapped)->EnsureValidated() : mapped.status();
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << "corruption at byte " << pos << " was accepted";
+    ++flips;
+  }
+  // Padding is the minority of the file; most bytes must have been tried.
+  EXPECT_GT(flips, bytes.size() / 2);
   std::filesystem::remove(path);
+  std::filesystem::remove(bad_path);
+}
+
+TEST(SpiderStoreMmapTest, RetiredSm1ArtifactRejected) {
+  Fixture fx = MakeFixture("sm2_retired.sm2", 108);
+  std::string bytes = ReadAll(fx.path);
+  bytes.replace(0, 4, "SMS1");
+  const std::string old_path = TempPath("sm2_retired_old.sm1");
+  WriteAll(old_path, bytes);
+
+  for (const Status& status :
+       {MappedStage1::Open(old_path).status(),
+        MiningSession::LoadStage1(fx.graph.get(), SessionConfig{}, old_path)
+            .status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_NE(status.message().find("retired .sm1 format"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.message().find("spidermine stage1"), std::string::npos)
+        << status;
+  }
+  std::filesystem::remove(fx.path);
+  std::filesystem::remove(old_path);
 }
 
 TEST(SpiderStoreMmapTest, MissingFileRejected) {

@@ -646,8 +646,10 @@ Status PrecheckStage1Artifact(const std::string& path) {
     return Status::IoError(
         StrCat("cannot read stage1 artifact '", path, "'"));
   }
-  if (magic != std::string(kSm2Magic, 4) &&
-      magic != std::string(kSm1Magic, 4)) {
+  if (magic == std::string(kRetiredSm1Magic, 4)) {
+    return RetiredSm1Error(path);
+  }
+  if (magic != std::string(kSm2Magic, 4)) {
     return Status::IoError(
         StrCat("'", path,
                "' is not a stage1 artifact (unrecognized format magic)"));

@@ -2,8 +2,8 @@
 # Regenerates the committed benchmark artifacts from a fresh build, so a
 # reviewer can reproduce the numbers behind the perf claims in the docs:
 #
-#   BENCH_artifact_load.json  — cold-start cost of the `.sm1`
-#     copy-deserialize path vs the zero-copy mmap `.sm2` path; the
+#   BENCH_artifact_load.json  — cold-start cost of mining Stage I at
+#     startup vs a cold load of the graph's saved `.sm2` artifact; the
 #     committed file must show cold_load_speedup >= 10.
 #   BENCH_growth_engine.json  — per-candidate VF2 closure vs the carried
 #     embedding-list engine on a 300k-vertex graph; the committed file
@@ -45,7 +45,7 @@ for bench in bench_artifact_load bench_growth_engine bench_parallel_scaling \
   fi
 done
 
-echo "=== bench_artifact_load (synthetic >=100 MB store; ~1 min)"
+echo "=== bench_artifact_load (1M-vertex ER graph, ~180 MB artifact; ~10 s)"
 build/bench_artifact_load > BENCH_artifact_load.json
 cat BENCH_artifact_load.json
 echo "OK: wrote BENCH_artifact_load.json"
