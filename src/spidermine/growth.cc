@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "pattern/pattern_dedup_index.h"
-#include "pattern/vf2.h"
 #include "support/support_measure.h"
 
 namespace spidermine {
@@ -71,6 +70,15 @@ std::vector<LeafKey> PatternNeighborKeys(const Pattern& p, VertexId v) {
   std::sort(keys.begin(), keys.end());
   return keys;
 }
+
+/// FNV-1a over a union instance's construction key (RunMerges).
+struct SlotKeyHash {
+  size_t operator()(const std::vector<int64_t>& key) const {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (int64_t k : key) h = (h ^ static_cast<uint64_t>(k)) * 0x100000001b3ull;
+    return static_cast<size_t>(h);
+  }
+};
 
 uint64_t MergeKey(int32_t spider_id, VertexId anchor) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(spider_id)) << 32) |
@@ -612,10 +620,12 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     std::vector<VertexId> map_a;
     std::vector<VertexId> map_b;
     int64_t support = 0;
+    uint64_t iso_hash = 0;  // PatternIsoHash, 0 = not yet computed
   };
   struct PairResult {
     std::vector<UnionCandidate> candidates;
     int64_t merge_attempts = 0;
+    int64_t iso_checks_skipped = 0;
     int64_t iso_checks_run = 0;
     bool cancelled = false;
   };
@@ -628,105 +638,133 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
     ++out->merge_attempts;
     const GrowthPattern& a = rs->pool[task.a];
     const GrowthPattern& b = rs->pool[task.b];
-    // Collect overlapping embedding pairs.
-    std::unordered_map<VertexId, std::vector<int32_t>> where;
+    // Collect overlapping embedding pairs (ei, ej) in ej-major order: a
+    // sorted (image vertex, ei) list finds a's embeddings through each
+    // vertex, and a per-ei stamp of the last ej drops repeats.
+    std::vector<std::pair<VertexId, int32_t>> where;
     for (size_t ei = 0; ei < a.embeddings.size(); ++ei) {
       for (VertexId gv : a.embeddings[ei]) {
-        where[gv].push_back(static_cast<int32_t>(ei));
+        where.emplace_back(gv, static_cast<int32_t>(ei));
       }
     }
+    std::sort(where.begin(), where.end());
+    const auto by_vertex = [](const std::pair<VertexId, int32_t>& lhs,
+                              const std::pair<VertexId, int32_t>& rhs) {
+      return lhs.first < rhs.first;
+    };
+    std::vector<int32_t> last_ej(a.embeddings.size(), -1);
     std::vector<std::pair<int32_t, int32_t>> overlaps;
-    {
-      std::unordered_set<int64_t> seen_pairs;
-      for (size_t ej = 0; ej < b.embeddings.size(); ++ej) {
-        for (VertexId gv : b.embeddings[ej]) {
-          auto it = where.find(gv);
-          if (it == where.end()) continue;
-          for (int32_t ei : it->second) {
-            int64_t pk = (static_cast<int64_t>(ei) << 32) |
-                         static_cast<int64_t>(ej);
-            if (seen_pairs.insert(pk).second) {
-              overlaps.emplace_back(ei, static_cast<int32_t>(ej));
-            }
-          }
+    for (int32_t ej = 0; ej < static_cast<int32_t>(b.embeddings.size());
+         ++ej) {
+      for (VertexId gv : b.embeddings[ej]) {
+        const auto [lo, hi] = std::equal_range(
+            where.begin(), where.end(), std::make_pair(gv, int32_t{0}),
+            by_vertex);
+        for (auto it = lo; it != hi; ++it) {
+          if (last_ej[it->second] == ej) continue;
+          last_ej[it->second] = ej;
+          overlaps.emplace_back(it->second, ej);
         }
-        if (static_cast<int32_t>(overlaps.size()) >=
-            query_->max_union_instances) {
-          break;
-        }
+      }
+      if (static_cast<int32_t>(overlaps.size()) >=
+          query_->max_union_instances) {
+        break;
       }
     }
     if (overlaps.empty()) return;
 
     // Build union instances and group them by structure (within the
-    // pair; cross-pair and cross-bucket dedup happens in the fold).
+    // pair; cross-pair and cross-bucket dedup happens in the fold). Slot
+    // t of an instance is position t of e1 ++ e2; its construction key
+    // (see RunMerges in growth.h) memoises the group, so only the first
+    // instance of each key builds a union pattern and looks it up.
+    const int32_t na = a.pattern.NumVertices();
+    const size_t num_slots =
+        static_cast<size_t>(na) + static_cast<size_t>(b.pattern.NumVertices());
     std::vector<UnionCandidate> unions;
+    PatternDedupIndex union_index;
+    std::unordered_map<std::vector<int64_t>, int64_t, SlotKeyHash>
+        group_of_key;
+    std::vector<std::pair<VertexId, int32_t>> slots(num_slots);
+    std::vector<int64_t> key(num_slots);
+    std::vector<VertexId> slot_pos(num_slots);  // slot -> union vertex
     for (const auto& [ei, ej] : overlaps) {
       const Embedding& e1 = a.embeddings[ei];
       const Embedding& e2 = b.embeddings[ej];
+      for (size_t t = 0; t < num_slots; ++t) {
+        const VertexId gv = t < static_cast<size_t>(na) ? e1[t] : e2[t - na];
+        slots[t] = {gv, static_cast<int32_t>(t)};
+      }
       // Union vertex set, sorted for a deterministic mapping.
-      std::vector<VertexId> verts = e1;
-      verts.insert(verts.end(), e2.begin(), e2.end());
-      std::sort(verts.begin(), verts.end());
-      verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-      std::unordered_map<VertexId, VertexId> pos;
-      Pattern up;
-      for (size_t t = 0; t < verts.size(); ++t) {
-        pos[verts[t]] = static_cast<VertexId>(t);
-        up.AddVertex(graph_->Label(verts[t]));
-      }
-      for (const auto& [pu, pv] : a.pattern.Edges()) {
-        up.AddEdge(pos[e1[pu]], pos[e1[pv]], a.pattern.EdgeLabel(pu, pv));
-      }
-      for (const auto& [pu, pv] : b.pattern.Edges()) {
-        up.AddEdge(pos[e2[pu]], pos[e2[pv]], b.pattern.EdgeLabel(pu, pv));
-      }
-      Embedding ue(verts.begin(), verts.end());
-      SpiderSetRepr repr =
-          SpiderSetRepr::Compute(up, session_->spider_radius);
-      // Find matching group (spider-set filter, then exact check).
-      UnionCandidate* group = nullptr;
-      for (UnionCandidate& g : unions) {
-        if (!(g.spider_set == repr)) continue;
-        ++out->iso_checks_run;
-        if (ArePatternsIsomorphic(g.pattern, up)) {
-          group = &g;
-          break;
+      std::sort(slots.begin(), slots.end());
+      Embedding ue;
+      int32_t first = 0;
+      for (size_t s = 0; s < num_slots; ++s) {
+        const auto [gv, t] = slots[s];
+        if (s == 0 || gv != slots[s - 1].first) {
+          first = t;
+          key[t] = ~static_cast<int64_t>(graph_->Label(gv));
+          ue.push_back(gv);
+        } else {
+          key[t] = first;
         }
+        slot_pos[t] = static_cast<VertexId>(ue.size() - 1);
       }
-      if (group == nullptr) {
-        UnionCandidate g;
-        g.spider_set = repr;
-        for (VertexId pu = 0; pu < a.pattern.NumVertices(); ++pu) {
-          g.map_a.push_back(pos[e1[pu]]);
+      const auto memo = group_of_key.find(key);
+      int64_t gid = memo == group_of_key.end() ? -1 : memo->second;
+      if (gid < 0) {
+        Pattern up;
+        for (VertexId gv : ue) up.AddVertex(graph_->Label(gv));
+        for (const auto& [pu, pv] : a.pattern.Edges()) {
+          up.AddEdge(slot_pos[pu], slot_pos[pv],
+                     a.pattern.EdgeLabel(pu, pv));
         }
-        for (VertexId pv = 0; pv < b.pattern.NumVertices(); ++pv) {
-          g.map_b.push_back(pos[e2[pv]]);
+        for (const auto& [pu, pv] : b.pattern.Edges()) {
+          up.AddEdge(slot_pos[na + pu], slot_pos[na + pv],
+                     b.pattern.EdgeLabel(pu, pv));
         }
-        g.pattern = std::move(up);
-        // Boundary: images of both parents' frontier vertices.
-        auto add_boundary = [&](const GrowthPattern& parent,
-                                const Embedding& pe) {
-          for (VertexId pv : parent.boundary) {
-            g.boundary.push_back(pos[pe[pv]]);
-          }
-          for (VertexId pv : parent.next_boundary) {
-            g.boundary.push_back(pos[pe[pv]]);
-          }
-        };
-        add_boundary(a, e1);
-        add_boundary(b, e2);
-        std::sort(g.boundary.begin(), g.boundary.end());
-        g.boundary.erase(
-            std::unique(g.boundary.begin(), g.boundary.end()),
-            g.boundary.end());
-        unions.push_back(std::move(g));
-        group = &unions.back();
+        SpiderSetRepr repr =
+            SpiderSetRepr::Compute(up, session_->spider_radius);
+        uint64_t iso_hash = 0;
+        gid = union_index.Find(
+            repr.digest(), up, &iso_hash,
+            [&unions](int64_t id) -> const Pattern& {
+              return unions[id].pattern;
+            },
+            &out->iso_checks_skipped, &out->iso_checks_run);
+        if (gid < 0) {
+          gid = union_index.Add(repr.digest(), iso_hash);
+          UnionCandidate g;
+          g.spider_set = std::move(repr);
+          g.map_a.assign(slot_pos.begin(), slot_pos.begin() + na);
+          g.map_b.assign(slot_pos.begin() + na, slot_pos.end());
+          g.pattern = std::move(up);
+          // Boundary: images of both parents' frontier vertices.
+          auto add_boundary = [&](const GrowthPattern& parent,
+                                  int32_t offset) {
+            for (VertexId pv : parent.boundary) {
+              g.boundary.push_back(slot_pos[offset + pv]);
+            }
+            for (VertexId pv : parent.next_boundary) {
+              g.boundary.push_back(slot_pos[offset + pv]);
+            }
+          };
+          add_boundary(a, 0);
+          add_boundary(b, na);
+          std::sort(g.boundary.begin(), g.boundary.end());
+          g.boundary.erase(
+              std::unique(g.boundary.begin(), g.boundary.end()),
+              g.boundary.end());
+          unions.push_back(std::move(g));
+        }
+        group_of_key.emplace(key, gid);
       }
-      group->embeddings.push_back(std::move(ue));
+      unions[gid].embeddings.push_back(std::move(ue));
     }
 
-    for (UnionCandidate& g : unions) {
+    for (size_t gi = 0; gi < unions.size(); ++gi) {
+      UnionCandidate& g = unions[gi];
+      g.iso_hash = union_index.iso_hash(static_cast<int64_t>(gi));
       DedupEmbeddingsByImage(&g.embeddings);
       SupportContext ctx;
       ctx.txn_of_vertex = session_->txn_of_vertex;
@@ -761,6 +799,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
   for (size_t i = 0; i < results.size(); ++i) {
     PairResult& result = results[i];
     stats_->merge_attempts += result.merge_attempts;
+    stats_->iso_checks_skipped += result.iso_checks_skipped;
     stats_->iso_checks_run += result.iso_checks_run;
     if (result.cancelled) rs->truncated = true;
     for (UnionCandidate& c : result.candidates) {
@@ -769,6 +808,7 @@ void GrowthEngine::RunMerges(RoundState* rs, MergeRegistry* previous) {
       merged.embeddings = std::move(c.embeddings);
       merged.support = c.support;
       merged.spider_set = c.spider_set;
+      merged.iso_hash = c.iso_hash;
       merged.next_boundary = std::move(c.boundary);
       merged.merged_ever = true;
       merged.id = next_id_++;

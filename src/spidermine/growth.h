@@ -174,6 +174,19 @@ class GrowthEngine {
   /// single hot anchor bucket no longer serializes the pass; a serial fold
   /// then admits candidates in sorted (key, pair) order, so the outcome is
   /// identical at any thread count.
+  ///
+  /// Within a pair (a, b), union instances are grouped by isomorphism
+  /// class through a per-pair PatternDedupIndex keyed by spider-set
+  /// digest, memoised by an exact construction key. Over the slot list
+  /// L = e1 ++ e2, slot t of the key holds the index of the first slot
+  /// equal to L[t], and each first-occurrence slot also holds
+  /// Label(L[t]). The parents' edges and edge labels are fixed within the
+  /// pair, so equal keys build the same union in construction order, and
+  /// their sorted-id unions are isomorphic. Groups are pairwise
+  /// non-isomorphic, so a key hit names exactly the group the full
+  /// lookup would find: the instance's sorted vertex set is appended with
+  /// no Pattern, SpiderSetRepr or isomorphism test. Keys are compared in
+  /// full, never by hash alone.
   void RunMerges(RoundState* rs, MergeRegistry* previous);
 
   const LabeledGraph* graph_;

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/strings.h"
+#include "gen/erdos_renyi.h"
+#include "gen/injection.h"
+#include "gen/pattern_factory.h"
 #include "graph/graph_builder.h"
 #include "pattern/dfs_code.h"
 #include "pattern/vf2.h"
 #include "spider/star_miner.h"
 #include "spider_test_util.h"
+#include "spidermine/session.h"
 
 namespace spidermine {
 namespace {
@@ -268,6 +274,108 @@ TEST(GrowthTest, SupportRecomputationMatchesMeasure) {
   ASSERT_NE(s, -1);
   GrowthPattern seed = f.engine->SeedFromSpider(s);
   EXPECT_EQ(f.engine->Support(seed), seed.support);
+}
+
+/// FNV-1a 64 of \p text: a compact, platform-stable pin of a transcript.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
+/// One query's pinned outputs: a hash of the rendered top-K plus every
+/// MineStats counter except the iso-check pair (those count lookup work,
+/// which a faster dedup may change without changing any result).
+std::string PinnedOutputs(const QueryResult& result) {
+  const MineStats& s = result.stats;
+  return StrCat(
+      "topk=", Fnv1a(PatternsTranscript(result.patterns)),
+      " n=", result.patterns.size(), " m=", s.seed_count_m,
+      " ext=", s.extend_calls, " steps=", s.growth_steps,
+      " merges=", s.merges, " pairs=", s.merge_attempts,
+      " pruned=", s.pruned_unmerged, " nonclosed=", s.nonclosed_dropped,
+      " embext=", s.emb_extensions, " carried=", s.emb_carried,
+      " vf2fb=", s.vf2_fallbacks, " closure=", s.closure_edges_added,
+      " embcap=", s.embedding_cap_hits, " patcap=", s.pattern_cap_hits,
+      " it2=", s.stage2_iterations, " r3=", s.stage3_rounds,
+      " txn=", s.txn_sample_size, " timeout=", s.timed_out);
+}
+
+/// Pins the top-K and growth counters of one merge-heavy query per support
+/// measure, at 1 and 4 threads. Faster dedup or union classification must
+/// leave every line as it is; a deliberate results change (such as
+/// re-numbering union columns) re-pins them.
+TEST(GrowthTest, MergeOutputsPinnedUnderEveryMeasure) {
+  Rng rng(101);
+  GraphBuilder builder = GenerateErdosRenyi(200, 2.2, 14, &rng);
+  Pattern planted = RandomConnectedPattern(10, 0.15, 14, &rng);
+  PatternInjector injector(&builder);
+  ASSERT_TRUE(injector.Inject(planted, 4, &rng).ok());
+  const LabeledGraph g = std::move(builder.Build()).value();
+  // Vertex v carries every transaction but v % 8, so multi-vertex
+  // occurrences still intersect in several transactions.
+  VertexTxnMap txn_map;
+  txn_map.num_transactions = 8;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    txn_map.offsets.push_back(static_cast<int64_t>(txn_map.txn_ids.size()));
+    for (int32_t t = 0; t < 8; ++t) {
+      if (t != v % 8) txn_map.txn_ids.push_back(t);
+    }
+  }
+  txn_map.offsets.push_back(static_cast<int64_t>(txn_map.txn_ids.size()));
+
+  const std::vector<std::pair<SupportMeasureKind, std::string>> expected = {
+      {SupportMeasureKind::kGreedyMisVertex,
+        "topk=14376621648426631556 n=10 m=24 ext=544 steps=128 merges=22"
+        " pairs=313 pruned=52 nonclosed=65 embext=174 carried=50 vf2fb=0"
+        " closure=21 embcap=0 patcap=0 it2=2 r3=3 txn=0 timeout=0"},
+      {SupportMeasureKind::kGreedyMisEdge,
+        "topk=17952451758039943566 n=10 m=24 ext=580 steps=142 merges=26"
+        " pairs=386 pruned=54 nonclosed=72 embext=192 carried=61 vf2fb=0"
+        " closure=21 embcap=0 patcap=0 it2=2 r3=3 txn=0 timeout=0"},
+      {SupportMeasureKind::kMinImage,
+        "topk=15352511601661921193 n=10 m=24 ext=608 steps=149 merges=26"
+        " pairs=395 pruned=54 nonclosed=82 embext=199 carried=66 vf2fb=0"
+        " closure=21 embcap=0 patcap=0 it2=2 r3=4 txn=0 timeout=0"},
+      {SupportMeasureKind::kEmbeddingCount,
+        "topk=2741502731549608982 n=10 m=24 ext=8811 steps=3992 merges=811"
+        " pairs=1668 pruned=111 nonclosed=1857 embext=4818 carried=80"
+        " vf2fb=0 closure=162 embcap=0 patcap=694 it2=2 r3=8 txn=0"
+        " timeout=0"},
+      {SupportMeasureKind::kHomomorphism,
+        "topk=14574972671459484390 n=10 m=24 ext=608 steps=149 merges=26"
+        " pairs=395 pruned=54 nonclosed=82 embext=199 carried=66 vf2fb=0"
+        " closure=21 embcap=0 patcap=0 it2=2 r3=4 txn=0 timeout=0"},
+      {SupportMeasureKind::kTransaction,
+        "topk=14648999355373183388 n=10 m=24 ext=4733 steps=1928 merges=381"
+        " pairs=1405 pruned=216 nonclosed=969 embext=2332 carried=80"
+        " vf2fb=0 closure=8 embcap=0 patcap=257 it2=2 r3=5 txn=0 timeout=0"},
+  };
+  for (int32_t threads : {1, 4}) {
+    SessionConfig session_config;
+    session_config.min_support = 3;
+    session_config.num_threads = threads;
+    session_config.txn_map = &txn_map;
+    Result<MiningSession> session = MiningSession::Create(&g, session_config);
+    ASSERT_TRUE(session.ok()) << session.status();
+    for (const auto& [measure, pinned] : expected) {
+      TopKQuery query;
+      query.k = 10;
+      query.dmax = 4;
+      query.vmin = 8;
+      query.rng_seed = 7;
+      query.seed_count_override = 24;
+      query.max_patterns_per_round = 600;
+      query.max_embeddings_per_pattern = 1000;
+      query.support_measure = measure;
+      Result<QueryResult> result = session->RunQuery(query);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_GT(result->stats.merges, 0)
+          << SupportMeasureName(measure) << " must exercise RunMerges";
+      EXPECT_EQ(PinnedOutputs(*result), pinned)
+          << SupportMeasureName(measure) << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace
